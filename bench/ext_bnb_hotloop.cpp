@@ -1,8 +1,8 @@
 //===- bench/ext_bnb_hotloop.cpp - B&B hot-loop identity & throughput -----===//
 //
 // Extension study: the branch-and-bound hot loop after the 3-3 pruning
-// fix. Every engine (sequential DFS, best-first, threaded) is run in
-// {None, ThirdSpecies} mode on tie-free structured workloads — the
+// fix. Every engine (sequential DFS, best-first, threaded, message
+// passing, simulated cluster) is run in {None, ThirdSpecies} mode on tie-free structured workloads — the
 // regime where `ThirdSpecies` is proven cost-preserving
 // (tests/bnb_test.cpp) — and the run *aborts* unless
 //
@@ -16,7 +16,9 @@
 //
 // The table reports branched nodes per second per engine (the hot-loop
 // throughput the arena + cached-bound work targets) and the node
-// reduction ThirdSpecies buys. Besides the console table the run writes
+// reduction ThirdSpecies buys. The sim rows also print the simulated
+// cluster's virtual makespan, which is deterministic and so comparable
+// exactly across changes. Besides the console table the run writes
 // `BENCH_hotloop.json` following the BENCH_*.json convention in
 // docs/benchmarking.md; the embedded registry snapshot must show
 // `mutk_bnb_pruned_threethree_total > 0`.
@@ -31,8 +33,10 @@
 
 #include "bnb/BestFirstBnb.h"
 #include "bnb/SequentialBnb.h"
+#include "mp/MpBnb.h"
 #include "obs/Metrics.h"
 #include "parallel/ThreadedBnb.h"
+#include "sim/ClusterSim.h"
 
 #include <benchmark/benchmark.h>
 
@@ -47,6 +51,8 @@ using namespace mutk;
 namespace {
 
 constexpr int ThreadedWorkers = 4;
+constexpr int MpWorkers = 4;
+constexpr int SimNodes = 4;
 
 struct WorkloadSpec {
   const char *Name;
@@ -64,6 +70,7 @@ struct ResultRow {
   std::uint64_t PrunedThreeThree = 0;
   double Cost = 0.0;
   bool CostOk = true;
+  double Makespan = 0.0; ///< sim rows only
 };
 
 /// One timed solve; returns the stats of the last repetition (identical
@@ -73,6 +80,7 @@ struct EngineOutcome {
   double Cost = 0.0;
   BnbStats Stats;
   double Millis = 0.0;
+  double Makespan = 0.0; ///< virtual time, sim engine only
 };
 
 EngineOutcome runEngine(const char *Engine, const DistanceMatrix &M,
@@ -89,10 +97,21 @@ EngineOutcome runEngine(const char *Engine, const DistanceMatrix &M,
       BestFirstResult R = solveMutBestFirst(M, Options);
       Out.Cost = R.Cost;
       Out.Stats = R.Stats;
-    } else {
+    } else if (std::string(Engine) == "threaded") {
       ParallelMutResult R = solveMutThreaded(M, ThreadedWorkers, Options);
       Out.Cost = R.Cost;
       Out.Stats = R.Stats;
+    } else if (std::string(Engine) == "mp") {
+      MpMutResult R = solveMutMessagePassing(M, MpWorkers, Options);
+      Out.Cost = R.Cost;
+      Out.Stats = R.Stats;
+    } else {
+      ClusterSpec Spec;
+      Spec.NumNodes = SimNodes;
+      ClusterSimResult R = simulateClusterBnb(M, Spec, Options);
+      Out.Cost = R.Cost;
+      Out.Stats = R.Stats;
+      Out.Makespan = R.Makespan;
     }
     Times.push_back(std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - Start)
@@ -114,16 +133,16 @@ void writeJson(const std::vector<ResultRow> &Rows) {
     const ResultRow &R = Rows[I];
     if (I > 0)
       Out << ",";
-    char Buf[320];
+    char Buf[384];
     std::snprintf(Buf, sizeof(Buf),
                   "{\"workload\":\"%s\",\"species\":%d,\"engine\":\"%s\","
                   "\"mode\":\"%s\",\"millis\":%.3f,\"branched\":%llu,"
                   "\"nodes_per_sec\":%.0f,\"pruned_threethree\":%llu,"
-                  "\"cost\":%.10g,\"cost_ok\":%s}",
+                  "\"cost\":%.10g,\"cost_ok\":%s,\"makespan\":%.6g}",
                   R.Workload.c_str(), R.Species, R.Engine, R.Mode, R.Millis,
                   static_cast<unsigned long long>(R.Branched), R.NodesPerSec,
                   static_cast<unsigned long long>(R.PrunedThreeThree), R.Cost,
-                  R.CostOk ? "true" : "false");
+                  R.CostOk ? "true" : "false", R.Makespan);
     Out << Buf;
   }
   Out << "],\"registry\":"
@@ -152,12 +171,13 @@ void printTable() {
     Workloads.push_back({"harddna", bench::hardDnaWorkload(20, 7)});
   }
   const int Reps = Smoke ? 1 : 3;
-  const char *Engines[] = {"sequential", "bestfirst", "threaded"};
+  const char *Engines[] = {"sequential", "bestfirst", "threaded", "mp",
+                           "sim"};
   const char *Modes[] = {"none", "third"};
 
-  std::printf("%-10s %4s %-10s %-6s %10s %10s %12s %8s %8s\n", "workload",
-              "n", "engine", "mode", "median ms", "branched", "nodes/s",
-              "pr33", "cost ok");
+  std::printf("%-10s %4s %-10s %-6s %10s %10s %12s %8s %8s %10s\n",
+              "workload", "n", "engine", "mode", "median ms", "branched",
+              "nodes/s", "pr33", "cost ok", "makespan");
 
   std::vector<ResultRow> Rows;
   bool Failed = false;
@@ -196,13 +216,15 @@ void printTable() {
             Out.Millis > 0.0
                 ? static_cast<double>(Out.Stats.Branched) * 1000.0 / Out.Millis
                 : 0.0;
-        std::printf("%-10s %4d %-10s %-6s %10.2f %10llu %12.0f %8llu %8s\n",
-                    W.Name, W.Matrix.size(), Engine, Mode, Out.Millis,
-                    static_cast<unsigned long long>(Out.Stats.Branched),
-                    NodesPerSec,
-                    static_cast<unsigned long long>(
-                        Out.Stats.PrunedByThreeThree),
-                    CostOk ? "yes" : "NO");
+        char Makespan[32] = "-";
+        if (std::string(Engine) == "sim")
+          std::snprintf(Makespan, sizeof(Makespan), "%.2f", Out.Makespan);
+        std::printf(
+            "%-10s %4d %-10s %-6s %10.2f %10llu %12.0f %8llu %8s %10s\n",
+            W.Name, W.Matrix.size(), Engine, Mode, Out.Millis,
+            static_cast<unsigned long long>(Out.Stats.Branched), NodesPerSec,
+            static_cast<unsigned long long>(Out.Stats.PrunedByThreeThree),
+            CostOk ? "yes" : "NO", Makespan);
         ResultRow Row;
         Row.Workload = W.Name;
         Row.Species = W.Matrix.size();
@@ -214,6 +236,7 @@ void printTable() {
         Row.PrunedThreeThree = Out.Stats.PrunedByThreeThree;
         Row.Cost = Out.Cost;
         Row.CostOk = CostOk;
+        Row.Makespan = Out.Makespan;
         Rows.push_back(std::move(Row));
       }
     }
