@@ -63,14 +63,6 @@ public:
   virtual void checkpoint(const SearchCheckpoint &State) = 0;
 };
 
-/// Shared resume guard: returns `Options.ResumeFrom` when it is usable
-/// for a search over a matrix with fingerprint `MatrixKey`, or nullptr
-/// (start fresh) when absent or stamped with a different matrix. A zero
-/// key on either side skips the comparison (caller opted out of
-/// fingerprinting).
-const SearchCheckpoint *usableResume(const BnbOptions &Options,
-                                     std::uint64_t MatrixKey);
-
 /// Cadence tracker shared by the solvers: a checkpoint is due every
 /// `EveryNodes` branched nodes or `EverySeconds` wall seconds, whichever
 /// comes first. Both zero means "only the sink's presence decides" —

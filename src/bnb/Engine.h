@@ -1,13 +1,13 @@
 //===- bnb/Engine.h - Shared branch-and-bound machinery ---------*- C++ -*-===//
 ///
 /// \file
-/// The pieces of Algorithm BBU shared by every driver (sequential loop,
-/// thread pool, simulated cluster): the maxmin relabeling, the UPGMM
-/// initial upper bound, the admissible lower bound
+/// The per-solve machinery of Algorithm BBU: the maxmin relabeling, the
+/// UPGMM initial upper bound, the admissible lower bound
 /// `LB(v) = w(T_k) + sum_{i >= k} min_{j < i} M[i,j] / 2`
 /// with precomputed suffix sums, and the branching rule with optional 3-3
-/// filtering. Drivers differ only in how they schedule BBT nodes and share
-/// the upper bound.
+/// filtering. Drivers do not call `branch()` themselves: the search core
+/// in `bnb/Search.h` owns the node step and seeding on top of this
+/// engine, and drivers add only their scheduling.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,14 +1,15 @@
-//===- bnb/SequentialBnb.cpp - Algorithm BBU (single processor) -----------===//
+//===- bnb/SequentialBnb.cpp - Single-processor MUT searches --------------===//
+//
+// Algorithm BBU on one processor, as DFS (`solveMutSequential`) or
+// best-first (`solveMutBestFirst`): one search loop over a stack or a
+// heap frontier.
+//
+//===----------------------------------------------------------------------===//
 
-#include "bnb/SequentialBnb.h"
+#include "bnb/BestFirstBnb.h"
+#include "bnb/Search.h"
 
-#include "bnb/Arena.h"
-#include "bnb/Checkpoint.h"
-#include "bnb/Engine.h"
-#include "matrix/Fingerprint.h"
-#include "obs/Instruments.h"
-#include "support/Audit.h"
-
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -16,157 +17,132 @@ using namespace mutk;
 
 namespace {
 
-/// Handles the degenerate sizes every solver shares.
-bool solveTrivial(const DistanceMatrix &M, MutResult &Result) {
-  if (M.size() > 1)
-    return false;
-  if (M.size() == 1) {
-    Result.Tree.addLeaf(0);
-    Result.Tree.setNames(M.names());
+/// The open nodes with their cached lower bounds: the paper's DFS stack
+/// (back = most promising), or a best-first binary heap on the bound. An
+/// explicit heap (std::push_heap/pop_heap over a vector) instead of
+/// std::priority_queue: the checkpoint needs to walk the whole frontier,
+/// which the adaptor hides.
+template <bool BestFirst> struct Frontier {
+  std::vector<BranchedChild> Nodes;
+
+  static bool worse(const BranchedChild &A, const BranchedChild &B) {
+    return A.LowerBound > B.LowerBound;
   }
-  Result.Cost = 0.0;
-  return true;
-}
+  void push(BranchedChild &&Child) {
+    Nodes.push_back(std::move(Child));
+    if constexpr (BestFirst)
+      std::push_heap(Nodes.begin(), Nodes.end(), worse);
+  }
+  BranchedChild pop() {
+    if constexpr (BestFirst)
+      std::pop_heap(Nodes.begin(), Nodes.end(), worse);
+    BranchedChild Top = std::move(Nodes.back());
+    Nodes.pop_back();
+    return Top;
+  }
+};
 
-} // namespace
-
-/// Resume validity shared by all solvers: a checkpoint stamped with a
-/// different matrix fingerprint must not seed this search. \returns the
-/// usable checkpoint or nullptr (fresh start).
-const SearchCheckpoint *mutk::usableResume(const BnbOptions &Options,
-                                           std::uint64_t MatrixKey) {
-  const SearchCheckpoint *Resume = Options.ResumeFrom;
-  if (!Resume)
-    return nullptr;
-  if (Resume->MatrixKey != 0 && MatrixKey != 0 &&
-      Resume->MatrixKey != MatrixKey)
-    return nullptr;
-  return Resume;
-}
-
-MutResult mutk::solveMutSequential(const DistanceMatrix &M,
-                                   const BnbOptions &Options) {
+/// The single-processor search, best-first or DFS, with checkpointing,
+/// resume and co-optimal collection. \returns the peak frontier size.
+template <bool BestFirst>
+std::size_t searchSerial(const DistanceMatrix &M, const BnbOptions &Options,
+                         MutResult &Result) {
   assert(!(Options.Checkpoint && Options.CollectAllOptimal) &&
          "checkpointing does not capture the co-optimal set");
-  MutResult Result;
   if (solveTrivial(M, Result))
-    return Result;
+    return 0;
 
   BnbEngine Engine(M, Options);
   const double Eps = Options.Epsilon;
-
-  // The fingerprint stamps checkpoints (and guards resumes) so a state
-  // file can never be replayed onto the wrong matrix. Only computed when
-  // the feature is in use: canonicalization is O(n^2).
-  std::uint64_t MatrixKey = 0;
-  if (Options.Checkpoint || Options.ResumeFrom)
-    MatrixKey = fingerprint(M);
-  const SearchCheckpoint *Resume = usableResume(Options, MatrixKey);
-
-  double Ub = Engine.initialUpperBound();
-  PhyloTree Best = Engine.initialTree();
-  std::vector<PhyloTree> Optimal;
-
-  std::vector<Topology> Stack;
+  const std::uint64_t MatrixKey = checkpointKey(M, Options);
+  Incumbent Inc(Engine);
   BnbStats &Stats = Result.Stats;
-  if (Resume) {
-    Stack = Resume->Frontier;
-    if (Resume->UpperBound < Ub) {
-      Ub = Resume->UpperBound;
-      Best = Resume->Incumbent;
-      Best.setNames(M.names());
-    }
-    Stats = Resume->Stats;
-    Stats.Complete = true; // re-decided by this run
+
+  // The frontier caches each node's lower bound (the heap key; the DFS
+  // re-check reads it too).
+  Frontier<BestFirst> Open;
+  if (const SearchCheckpoint *Resume =
+          resumeSearch(M, Options, MatrixKey, Inc, Stats)) {
+    Open.Nodes.reserve(Resume->Frontier.size());
+    for (const Topology &T : Resume->Frontier)
+      Open.Nodes.push_back(BranchedChild{T, Engine.lowerBound(T)});
+    if constexpr (BestFirst)
+      std::make_heap(Open.Nodes.begin(), Open.Nodes.end(), Open.worse);
   } else {
-    Stack.push_back(Engine.rootTopology());
+    Topology Root = Engine.rootTopology();
+    double Lb = Engine.lowerBound(Root);
+    Open.push(BranchedChild{std::move(Root), Lb});
   }
+
+  std::vector<PhyloTree> Optimal;
+  auto offer = [&](const Topology &Child) {
+    if (Inc.offer(Child, Eps)) {
+      ++Stats.UbUpdates;
+      if (Options.CollectAllOptimal) {
+        Optimal.clear();
+        Optimal.push_back(Engine.finalize(Child));
+      }
+    } else if (Options.CollectAllOptimal && Child.cost() <= Inc.Ub + Eps) {
+      Optimal.push_back(Engine.finalize(Child));
+    }
+  };
 
   CheckpointPacer Pacer(Options.CheckpointEveryNodes,
                         Options.CheckpointEverySeconds, Stats.Branched);
-  auto maybeCheckpoint = [&]() {
-    if (!Options.Checkpoint || !Pacer.due(Stats.Branched))
-      return;
-    SearchCheckpoint Ck;
-    Ck.Frontier = Stack;
-    Ck.Incumbent = Best;
-    Ck.UpperBound = Ub;
-    Ck.Stats = Stats;
-    Ck.Stats.Complete = false; // a checkpoint is an unfinished search
-    Ck.MatrixKey = MatrixKey;
-    Options.Checkpoint->checkpoint(Ck);
-    Pacer.taken(Stats.Branched);
-  };
-
-  // The arena recycles topology buffers across expansions; Children is
-  // the reused branch() output so the hot loop stays allocation-free
-  // after warm-up.
-  TopologyArena Arena(Engine.numSpecies());
-  std::vector<BranchedChild> Children;
-  while (!Stack.empty()) {
-    if (Options.MaxBranchedNodes != 0 &&
-        Stats.Branched >= Options.MaxBranchedNodes) {
+  Expander Step(Engine);
+  std::size_t Peak = 0;
+  while (!Open.Nodes.empty()) {
+    if (budgetSpent(Options, Stats.Branched)) {
       Stats.Complete = false;
       break;
     }
-    Topology T = std::move(Stack.back());
-    Stack.pop_back();
-
-    // Re-check the bound: the UB may have improved since this node was
-    // pushed.
-    double Lb = Engine.lowerBound(T);
-    if (Lb >= Ub - Eps && !(Options.CollectAllOptimal && Lb <= Ub + Eps)) {
-      ++Stats.PrunedByBound;
-      Arena.release(std::move(T));
-      continue;
-    }
-
-    ++Stats.Branched;
-    Engine.branch(T, Ub, Stats, Children, &Arena);
-    Arena.release(std::move(T));
-    // branch() returns children best-first; push in reverse so the DFS
-    // pops the most promising child first.
-    for (std::size_t I = Children.size(); I > 0; --I) {
-      Topology &Child = Children[I - 1].Node;
-      if (Engine.isComplete(Child)) {
-        double Cost = Child.cost();
-        if (Cost < Ub - Eps) {
-          Ub = Cost;
-          Best = Engine.finalize(Child);
-          ++Stats.UbUpdates;
-          if (Options.CollectAllOptimal) {
-            Optimal.clear();
-            Optimal.push_back(Best);
-          }
-        } else if (Options.CollectAllOptimal && Cost <= Ub + Eps) {
-          Optimal.push_back(Engine.finalize(Child));
-        }
-        Arena.release(std::move(Child));
+    Peak = std::max(Peak, Open.Nodes.size());
+    BranchedChild Next = Open.pop();
+    if (Step.pruned(Next.Node, Next.LowerBound, Inc.Ub, Stats)) {
+      if constexpr (!BestFirst)
         continue;
-      }
-      Stack.push_back(std::move(Child));
+      // Best-first: once the best lower bound reaches the upper bound,
+      // nothing left in the queue can improve on it.
+      Stats.PrunedByBound += Open.Nodes.size();
+      break;
     }
-    // After the expansion is fully applied the state is consistent:
-    // the popped node is represented by its surviving children.
-    maybeCheckpoint();
+    Step.branch<BestFirst ? ChildOrder::BestFirst : ChildOrder::BestLast>(
+        std::move(Next.Node), Inc.Ub, Stats, offer,
+        [&Open](BranchedChild &&Child) { Open.push(std::move(Child)); });
+    // After the expansion is fully applied the state is consistent: the
+    // popped node is represented by its surviving children.
+    if (Options.Checkpoint && Pacer.due(Stats.Branched)) {
+      std::vector<Topology> Nodes;
+      Nodes.reserve(Open.Nodes.size());
+      for (const BranchedChild &Entry : Open.Nodes)
+        Nodes.push_back(Entry.Node);
+      writeCheckpoint(Engine, Options, MatrixKey, Inc, Stats,
+                      std::move(Nodes));
+      Pacer.taken(Stats.Branched);
+    }
   }
 
   // The UPGMM seed may already have been optimal.
   if (Options.CollectAllOptimal && Optimal.empty() &&
-      std::fabs(Engine.initialTree().weight() - Ub) <= Eps)
+      std::fabs(Engine.initialTree().weight() - Inc.Ub) <= Eps)
     Optimal.push_back(Engine.initialTree());
-
-  Result.Tree = std::move(Best);
-  Result.Cost = Ub;
   Result.AllOptimal = std::move(Optimal);
-  // Any answer — optimal, truncated, or the UPGMM seed — must be a
-  // feasible ultrametric tree for M (Definition 8: d_T >= M).
-  MUTK_AUDIT(Result.Tree.hasMonotoneHeights(),
-             "B&B result must be ultrametric (leaves at 0, heights "
-             "nondecreasing toward the root)");
-  MUTK_AUDIT(Result.Tree.dominatesMatrix(M),
-             "B&B result must dominate the input matrix (d_T >= M)");
-  if (Options.PublishMetrics)
-    obs::recordBnbSolve(Result.Stats);
+  finishResult(Engine, M, Inc, Options.PublishMetrics, Result);
+  return Peak;
+}
+
+} // namespace
+
+MutResult mutk::solveMutSequential(const DistanceMatrix &M,
+                                   const BnbOptions &Options) {
+  MutResult Result;
+  searchSerial</*BestFirst=*/false>(M, Options, Result);
+  return Result;
+}
+
+BestFirstResult mutk::solveMutBestFirst(const DistanceMatrix &M,
+                                        const BnbOptions &Options) {
+  BestFirstResult Result;
+  Result.PeakFrontier = searchSerial</*BestFirst=*/true>(M, Options, Result);
   return Result;
 }

@@ -2,7 +2,7 @@
 
 #include "mp/MpBnb.h"
 
-#include "bnb/Engine.h"
+#include "bnb/Search.h"
 #include "mp/Communicator.h"
 #include "mp/Serialize.h"
 
@@ -73,6 +73,22 @@ std::vector<std::uint8_t> encodeStats(const BnbStats &Stats,
   return Writer.take();
 }
 
+/// The inverse of `encodeStats`. `BoundEvals` does not travel.
+bool decodeStats(const std::vector<std::uint8_t> &Payload, BnbStats &Stats,
+                 WorkerStats &Worker) {
+  ByteReader Reader(Payload);
+  return Reader.readU64(Stats.Branched) && Reader.readU64(Stats.Generated) &&
+         Reader.readU64(Stats.PrunedByBound) &&
+         Reader.readU64(Stats.PrunedByThreeThree) &&
+         Reader.readU64(Stats.UbUpdates) && Reader.readU64(Worker.Branched) &&
+         Reader.readU64(Worker.PulledFromGlobal) &&
+         Reader.readU64(Worker.DonatedToGlobal) &&
+         Reader.readU64(Worker.UbUpdates) &&
+         Reader.readU64(Worker.StolenFromPeers) &&
+         Reader.readU64(Worker.DonatedToPeers) &&
+         Reader.readU64(Worker.PeerUbBroadcasts);
+}
+
 } // namespace
 
 WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
@@ -138,11 +154,14 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
   SlaveOptions.InitialUpperBound = KnownUb;
   SlaveOptions.AssumeMaxminOrdered = true;
   BnbEngine Engine(Relabeled, SlaveOptions);
+  Expander Step(Engine);
   const double Eps = Options.Epsilon;
   const int NumWorkers = Self.size() - 1;
 
-  std::deque<Topology> Local; // back = best
-  std::vector<BranchedChild> Branches;
+  // Back = best. Work from the master goes to the front: it is a dealt
+  // seed (dealt best first, so the best one ends at the back) or arrives
+  // while the pool is empty.
+  std::deque<Topology> Local;
   bool DonateRequested = PreInitNeedWork;
   // Cumulative count of work items received (master Work messages and
   // granted steals); shipped inside every WorkRequest so the master can
@@ -198,7 +217,7 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
     case MpTagWork: {
       auto T = decodeTopology(Msg.Payload);
       assert(T && "malformed Work payload");
-      Local.push_back(std::move(*T));
+      Local.push_front(std::move(*T));
       ++Worker.PulledFromGlobal;
       ++WorkReceived;
       TriedSteal = false;
@@ -311,29 +330,22 @@ WorkerStats mutk::runMpSlave(MpEndpoint &Self, const BnbOptions &Options,
 
     Topology Current = std::move(Local.back());
     Local.pop_back();
-
-    if (Engine.lowerBound(Current) >= KnownUb - Eps) {
-      ++Stats.PrunedByBound;
-      continue;
-    }
-
-    ++Stats.Branched;
-    ++Worker.Branched;
-    Engine.branch(Current, KnownUb, Stats, Branches);
-    for (BranchedChild &BC : Branches) {
-      Topology &Child = BC.Node;
-      if (Engine.isComplete(Child)) {
-        double Cost = Child.cost();
-        if (Cost < KnownUb - Eps) {
-          KnownUb = Cost;
-          ++Worker.UbUpdates;
-          ++Stats.UbUpdates;
-          announceIncumbent(Cost, Child);
-        }
-        continue;
-      }
-      Local.push_back(std::move(Child)); // ascending order: back = best
-    }
+    bool Branched = Step.step(
+        std::move(Current), KnownUb, Stats,
+        [&](const Topology &Child) {
+          double Cost = Child.cost();
+          if (Cost < KnownUb - Eps) {
+            KnownUb = Cost;
+            ++Worker.UbUpdates;
+            ++Stats.UbUpdates;
+            announceIncumbent(Cost, Child);
+          }
+        },
+        [&Local](BranchedChild &&Child) {
+          Local.push_back(std::move(Child.Node));
+        });
+    if (Branched)
+      ++Worker.Branched;
   }
 }
 
@@ -350,98 +362,45 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
   MpMutResult Result;
   Result.Workers.resize(static_cast<std::size_t>(NumWorkers));
 
-  // Collects the final Stats message from every worker; every exit path
-  // goes through here so slaves always unblock.
-  auto collectStats = [&](BnbStats &Stats) {
-    int StatsCollected = 0;
-    while (StatsCollected < NumWorkers) {
-      Message Msg = Self.recv();
-      if (Msg.Tag != MpTagStats)
-        continue; // late Solution/Donation/StealGrant: nothing to do
-      ByteReader Reader(Msg.Payload);
-      BnbStats S;
-      WorkerStats W;
-      bool Ok = Reader.readU64(S.Branched) && Reader.readU64(S.Generated) &&
-                Reader.readU64(S.PrunedByBound) &&
-                Reader.readU64(S.PrunedByThreeThree) &&
-                Reader.readU64(S.UbUpdates) && Reader.readU64(W.Branched) &&
-                Reader.readU64(W.PulledFromGlobal) &&
-                Reader.readU64(W.DonatedToGlobal) &&
-                Reader.readU64(W.UbUpdates) &&
-                Reader.readU64(W.StolenFromPeers) &&
-                Reader.readU64(W.DonatedToPeers) &&
-                Reader.readU64(W.PeerUbBroadcasts);
-      assert(Ok && "malformed Stats payload");
-      (void)Ok;
-      Stats.Branched += S.Branched;
-      Stats.Generated += S.Generated;
-      Stats.PrunedByBound += S.PrunedByBound;
-      Stats.PrunedByThreeThree += S.PrunedByThreeThree;
-      Result.Workers[static_cast<std::size_t>(Msg.Source - 1)] = W;
-      ++StatsCollected;
-    }
+  BnbStats &Stats = Result.Stats;
+  // Folds one worker's final Stats message into the result. Its
+  // UbUpdates are not added: the master counts the solutions it accepts.
+  int StatsCollected = 0;
+  auto absorbStats = [&](const Message &Msg) {
+    BnbStats S;
+    WorkerStats W;
+    bool Ok = decodeStats(Msg.Payload, S, W);
+    assert(Ok && "malformed Stats payload");
+    (void)Ok;
+    Stats.Branched += S.Branched;
+    Stats.Generated += S.Generated;
+    Stats.PrunedByBound += S.PrunedByBound;
+    Stats.PrunedByThreeThree += S.PrunedByThreeThree;
+    Result.Workers[static_cast<std::size_t>(Msg.Source - 1)] = W;
+    ++StatsCollected;
   };
 
-  if (M.size() <= 1) {
-    if (M.size() == 1) {
-      Result.Tree.addLeaf(0);
-      Result.Tree.setNames(M.names());
-    }
+  if (solveTrivial(M, Result)) {
+    // Every exit path collects the final Stats so slaves always unblock.
     Self.broadcast(MpTagTerminate);
-    collectStats(Result.Stats);
+    while (StatsCollected < NumWorkers) {
+      Message Msg = Self.recv();
+      if (Msg.Tag == MpTagStats)
+        absorbStats(Msg);
+    }
     return Result;
   }
 
   BnbEngine Engine(M, Options);
   const double Eps = Options.Epsilon;
-  double Ub = Engine.initialUpperBound();
-  bool HasBest = false;
-  Topology BestTopology;
-
-  // Master phase: seed the BBT to 2x the number of computing nodes.
-  std::deque<Topology> Frontier;
-  std::vector<BranchedChild> Branches;
-  Frontier.push_back(Engine.rootTopology());
-  BnbStats &Stats = Result.Stats;
-  while (!Frontier.empty() &&
-         static_cast<int>(Frontier.size()) < 2 * NumWorkers) {
-    Topology T = std::move(Frontier.front());
-    Frontier.pop_front();
-    if (Engine.isComplete(T)) {
-      if (T.cost() < Ub - Eps) {
-        Ub = T.cost();
-        BestTopology = T;
-        HasBest = true;
-      }
-      continue;
-    }
-    ++Stats.Branched;
-    Engine.branch(T, Ub, Stats, Branches);
-    for (BranchedChild &BC : Branches) {
-      Topology &Child = BC.Node;
-      if (Engine.isComplete(Child)) {
-        if (Child.cost() < Ub - Eps) {
-          Ub = Child.cost();
-          BestTopology = Child;
-          HasBest = true;
-          ++Stats.UbUpdates;
-        }
-        continue;
-      }
-      Frontier.push_back(std::move(Child));
-    }
-  }
-  std::vector<Topology> Sorted(std::make_move_iterator(Frontier.begin()),
-                               std::make_move_iterator(Frontier.end()));
-  std::sort(Sorted.begin(), Sorted.end(),
-            [&Engine](const Topology &A, const Topology &B) {
-              return Engine.lowerBound(A) < Engine.lowerBound(B);
-            });
+  Incumbent Inc(Engine);
+  std::vector<Topology> Seeds =
+      Expander(Engine).seed(NumWorkers, Inc, Stats);
 
   // Init every worker with the relabeled matrix and UB.
   {
     ByteWriter Writer;
-    Writer.writeF64(Ub);
+    Writer.writeF64(Inc.Ub);
     std::vector<std::uint8_t> InitPayload = Writer.take();
     std::vector<std::uint8_t> MatrixBytes =
         encodeMatrix(Engine.relabeledMatrix());
@@ -458,16 +417,14 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
                                       0);
 
   // Deal the sorted frontier cyclically (Step 6 of the paper).
-  for (std::size_t I = 0; I < Sorted.size(); ++I) {
-    int Dest = 1 + static_cast<int>(I % static_cast<std::size_t>(NumWorkers));
-    ++Expected[static_cast<std::size_t>(Dest)];
-    Self.send(Dest, MpTagWork, encodeTopology(Sorted[I]));
-  }
+  dealSeeds(Engine, Seeds, NumWorkers, [&](int W, Topology &&T) {
+    ++Expected[static_cast<std::size_t>(W) + 1];
+    Self.send(W + 1, MpTagWork, encodeTopology(T));
+  });
 
   // Coordinator loop.
   std::deque<Topology> GlobalPool;
   std::deque<int> PendingRequesters;
-  int StatsCollected = 0;
   bool Terminating = false;
   while (StatsCollected < NumWorkers) {
     Message Msg = Self.recv();
@@ -478,17 +435,15 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
       bool Ok = Reader.readF64(Cost);
       assert(Ok && "malformed Solution payload");
       (void)Ok;
-      if (Cost < Ub - Eps) {
+      if (Cost < Inc.Ub - Eps) {
         std::vector<std::uint8_t> TopoBytes(Msg.Payload.begin() + 8,
                                             Msg.Payload.end());
         auto T = decodeTopology(TopoBytes);
         assert(T && "malformed Solution topology");
-        Ub = Cost;
-        BestTopology = std::move(*T);
-        HasBest = true;
+        Inc.offer(*T, Eps); // the decoded cost is bit-identical to Cost
         ++Stats.UbUpdates;
         ByteWriter Writer;
-        Writer.writeF64(Ub);
+        Writer.writeF64(Cost);
         Self.broadcast(MpTagUbUpdate, Writer.bytes());
       }
       break;
@@ -547,43 +502,16 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
       }
       break;
     }
-    case MpTagStats: {
-      ByteReader Reader(Msg.Payload);
-      BnbStats S;
-      WorkerStats W;
-      bool Ok = Reader.readU64(S.Branched) && Reader.readU64(S.Generated) &&
-                Reader.readU64(S.PrunedByBound) &&
-                Reader.readU64(S.PrunedByThreeThree) &&
-                Reader.readU64(S.UbUpdates) && Reader.readU64(W.Branched) &&
-                Reader.readU64(W.PulledFromGlobal) &&
-                Reader.readU64(W.DonatedToGlobal) &&
-                Reader.readU64(W.UbUpdates) &&
-                Reader.readU64(W.StolenFromPeers) &&
-                Reader.readU64(W.DonatedToPeers) &&
-                Reader.readU64(W.PeerUbBroadcasts);
-      assert(Ok && "malformed Stats payload");
-      (void)Ok;
-      Stats.Branched += S.Branched;
-      Stats.Generated += S.Generated;
-      Stats.PrunedByBound += S.PrunedByBound;
-      Stats.PrunedByThreeThree += S.PrunedByThreeThree;
-      Result.Workers[static_cast<std::size_t>(Msg.Source - 1)] = W;
-      ++StatsCollected;
+    case MpTagStats:
+      absorbStats(Msg);
       break;
-    }
     default:
       assert(false && "unexpected message tag at master");
       break;
     }
   }
 
-  if (HasBest) {
-    Result.Tree = Engine.finalize(BestTopology);
-    Result.Cost = BestTopology.cost();
-  } else {
-    Result.Tree = Engine.initialTree();
-    Result.Cost = Engine.initialUpperBound();
-  }
+  finishResult(Engine, M, Inc, /*Publish=*/false, Result);
   return Result;
 }
 

@@ -2,15 +2,9 @@
 
 #include "parallel/ThreadedBnb.h"
 
-#include "bnb/Arena.h"
-#include "bnb/Checkpoint.h"
-#include "bnb/Engine.h"
-#include "matrix/Fingerprint.h"
-#include "obs/Instruments.h"
-#include "support/Audit.h"
+#include "bnb/Search.h"
 #include "support/Mutex.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -24,7 +18,8 @@ namespace {
 /// State shared by all workers.
 struct SharedState {
   const BnbEngine &Engine;
-  explicit SharedState(const BnbEngine &Engine) : Engine(Engine) {}
+  SharedState(const BnbEngine &Engine, const Incumbent &Start)
+      : Engine(Engine), Best(Start), Ub(Start.Ub) {}
 
   // Global pool (the master's GP), protected by PoolMutex.
   Mutex PoolMutex{"bnb.pool"};
@@ -40,36 +35,22 @@ struct SharedState {
   /// alive, they just change owner.
   bool Paused MUTK_GUARDED_BY(PoolMutex) = false;
 
-  // Upper bound, shared lock-free; the best topology under a mutex.
-  std::atomic<double> Ub{0.0};
+  // The incumbent under a mutex; its upper bound mirrored lock-free for
+  // the per-node bound checks. Offers are rare (only complete children
+  // that beat the bound a worker last read), so they may take the lock.
   Mutex BestMutex{"bnb.best"};
-  Topology BestTopology MUTK_GUARDED_BY(BestMutex);
-  bool HasBest MUTK_GUARDED_BY(BestMutex) = false;
+  Incumbent Best MUTK_GUARDED_BY(BestMutex);
+  std::atomic<double> Ub;
 
   std::atomic<std::uint64_t> TotalBranched{0};
 
-  /// Lowers the shared UB to the cost of \p T if that improves it; keeps
-  /// the tree. \returns true on a strict improvement.
+  /// Adopts \p T if it improves the incumbent. \returns true on a strict
+  /// improvement.
   bool offerSolution(const Topology &T, double Eps) {
-    double Cost = T.cost();
-    double Current = Ub.load(std::memory_order_relaxed);
-    bool Improved = false;
-    while (Cost < Current - Eps) {
-      // On failure compare_exchange reloads Current and we re-test.
-      if (Ub.compare_exchange_weak(Current, Cost,
-                                   std::memory_order_relaxed)) {
-        Improved = true;
-        break;
-      }
-    }
-    if (!Improved)
-      return false;
-
     MutexLock Lock(BestMutex);
-    if (!HasBest || Cost < BestTopology.cost()) {
-      BestTopology = T;
-      HasBest = true;
-    }
+    if (!Best.offer(T, Eps))
+      return false;
+    Ub.store(Best.Ub, std::memory_order_relaxed);
     return true;
   }
 };
@@ -80,17 +61,12 @@ void workerMain(SharedState &Shared, const BnbOptions &Options,
                 std::deque<Topology> LocalPool, BnbStats &Stats,
                 WorkerStats &Worker) {
   const double Eps = Options.Epsilon;
-  const BnbEngine &Engine = Shared.Engine;
-  // Worker-private recycling pool + branch() output buffer: the hot loop
-  // allocates nothing after warm-up. Nodes that migrate through the
-  // global pool keep their own storage, so pooling stays worker-local.
-  TopologyArena Arena(Engine.numSpecies());
-  std::vector<BranchedChild> Children;
+  // Worker-private node step: the hot loop allocates nothing after
+  // warm-up. Nodes that migrate through the global pool keep their own
+  // storage, so pooling stays worker-local.
+  Expander Step(Shared.Engine);
 
   for (;;) {
-    Topology Current;
-    bool HaveWork = false;
-
     {
       MutexLock Lock(Shared.PoolMutex);
       // Checkpoint rendezvous: hand the whole local pool back and exit.
@@ -114,55 +90,39 @@ void workerMain(SharedState &Shared, const BnbOptions &Options,
         if (Shared.Cancelled ||
             (Shared.GlobalPool.empty() && Shared.Outstanding == 0))
           return;
-        Current = std::move(Shared.GlobalPool.front());
+        LocalPool.push_back(std::move(Shared.GlobalPool.front()));
         Shared.GlobalPool.pop_front();
         ++Worker.PulledFromGlobal;
-        HaveWork = true;
       }
     }
-    if (!HaveWork) {
-      // Local pools keep the best node at the back.
-      Current = std::move(LocalPool.back());
-      LocalPool.pop_back();
-      HaveWork = true;
-    }
-    assert(HaveWork && "reached processing without a node");
-    (void)HaveWork;
+    // Local pools keep the best node at the back.
+    Topology Current = std::move(LocalPool.back());
+    LocalPool.pop_back();
 
-    if (Options.MaxBranchedNodes != 0 &&
-        Shared.TotalBranched.load(std::memory_order_relaxed) >=
-            Options.MaxBranchedNodes) {
+    if (budgetSpent(Options,
+                    Shared.TotalBranched.load(std::memory_order_relaxed))) {
       MutexLock Lock(Shared.PoolMutex);
       Shared.Cancelled = true;
       Shared.PoolCv.notify_all();
       return;
     }
 
-    double Ub = Shared.Ub.load(std::memory_order_relaxed);
     long Delta = -1; // the consumed node
-    if (Engine.lowerBound(Current) >= Ub - Eps) {
-      ++Stats.PrunedByBound;
-      Arena.release(std::move(Current));
-    } else {
-      ++Stats.Branched;
-      ++Worker.Branched;
-      Shared.TotalBranched.fetch_add(1, std::memory_order_relaxed);
-      Engine.branch(Current, Ub, Stats, Children, &Arena);
-      Arena.release(std::move(Current));
-      for (std::size_t I = Children.size(); I > 0; --I) {
-        Topology &Child = Children[I - 1].Node;
-        if (Engine.isComplete(Child)) {
+    bool Branched = Step.step(
+        std::move(Current), Shared.Ub.load(std::memory_order_relaxed), Stats,
+        [&](const Topology &Child) {
           if (Shared.offerSolution(Child, Eps)) {
             ++Stats.UbUpdates;
             ++Worker.UbUpdates;
           }
-          Arena.release(std::move(Child));
-          continue;
-        }
-        // Worst child first, best last: the back stays the best.
-        LocalPool.push_back(std::move(Child));
-        ++Delta;
-      }
+        },
+        [&](BranchedChild &&Child) {
+          LocalPool.push_back(std::move(Child.Node));
+          ++Delta;
+        });
+    if (Branched) {
+      ++Worker.Branched;
+      Shared.TotalBranched.fetch_add(1, std::memory_order_relaxed);
     }
 
     // Donate the *worst* local node whenever the global pool is empty,
@@ -193,76 +153,26 @@ ParallelMutResult mutk::solveMutThreaded(const DistanceMatrix &M,
 
   ParallelMutResult Result;
   Result.Workers.resize(static_cast<std::size_t>(NumWorkers));
-  if (M.size() <= 1) {
-    if (M.size() == 1) {
-      Result.Tree.addLeaf(0);
-      Result.Tree.setNames(M.names());
-    }
+  if (solveTrivial(M, Result))
     return Result;
-  }
 
   BnbEngine Engine(M, Options);
-  SharedState Shared(Engine);
-  Shared.Ub.store(Engine.initialUpperBound(), std::memory_order_relaxed);
-
-  std::uint64_t MatrixKey = 0;
-  if (Options.Checkpoint || Options.ResumeFrom)
-    MatrixKey = fingerprint(M);
-  const SearchCheckpoint *Resume = usableResume(Options, MatrixKey);
-
-  const double Eps = Options.Epsilon;
+  const std::uint64_t MatrixKey = checkpointKey(M, Options);
+  Incumbent Start(Engine);
   BnbStats MasterStats;
-  // The incumbent carried over from a resumed checkpoint. Workers only
-  // publish topologies that strictly beat the shared UB (seeded below),
-  // so `HasBest` implies "better than this tree".
-  PhyloTree ResumeIncumbent;
-  bool HasResumeIncumbent = false;
-  double ResumeUb = 0.0;
-
   std::vector<Topology> Frontier;
-  if (Resume) {
-    if (Resume->UpperBound <
-        Shared.Ub.load(std::memory_order_relaxed))
-      Shared.Ub.store(Resume->UpperBound, std::memory_order_relaxed);
-    ResumeIncumbent = Resume->Incumbent;
-    ResumeIncumbent.setNames(M.names());
-    HasResumeIncumbent = true;
-    ResumeUb = Resume->UpperBound;
-    MasterStats = Resume->Stats;
-    MasterStats.Complete = true; // re-decided by this run
-    Shared.TotalBranched.store(Resume->Stats.Branched,
-                               std::memory_order_relaxed);
+  // The branched-node budget and the checkpoint cadence count what a
+  // resumed checkpoint carried plus worker expansions, not seeding.
+  std::uint64_t BudgetBase = 0;
+  if (const SearchCheckpoint *Resume =
+          resumeSearch(M, Options, MatrixKey, Start, MasterStats)) {
     Frontier = Resume->Frontier;
+    BudgetBase = MasterStats.Branched;
   } else {
-    // Master phase (Steps 4-5): breadth-first expansion until the
-    // frontier holds 2x the number of computing nodes.
-    std::deque<Topology> Bfs;
-    std::vector<BranchedChild> Children;
-    Bfs.push_back(Engine.rootTopology());
-    while (!Bfs.empty() &&
-           static_cast<int>(Bfs.size()) < 2 * NumWorkers) {
-      Topology T = std::move(Bfs.front());
-      Bfs.pop_front();
-      if (Engine.isComplete(T)) {
-        Shared.offerSolution(T, Eps);
-        continue;
-      }
-      ++MasterStats.Branched;
-      double Ub = Shared.Ub.load(std::memory_order_relaxed);
-      Engine.branch(T, Ub, MasterStats, Children);
-      for (BranchedChild &BC : Children) {
-        Topology &Child = BC.Node;
-        if (Engine.isComplete(Child)) {
-          if (Shared.offerSolution(Child, Eps))
-            ++MasterStats.UbUpdates;
-          continue;
-        }
-        Bfs.push_back(std::move(Child));
-      }
-    }
-    Frontier.assign(std::make_move_iterator(Bfs.begin()),
-                    std::make_move_iterator(Bfs.end()));
+    Frontier = Expander(Engine).seed(NumWorkers, Start, MasterStats);
   }
+  SharedState Shared(Engine, Start);
+  Shared.TotalBranched.store(BudgetBase, std::memory_order_relaxed);
 
   std::vector<BnbStats> WorkerBnbStats(static_cast<std::size_t>(NumWorkers));
   auto mergedStats = [&]() {
@@ -277,30 +187,18 @@ ParallelMutResult mutk::solveMutThreaded(const DistanceMatrix &M,
     }
     return S;
   };
-  // The incumbent as a finished tree plus its cost, for checkpoints and
-  // the final answer. Call only while no workers run (no BestMutex
-  // contention concerns, but finalize() is not free).
-  auto currentIncumbent = [&](double &CostOut) {
+  // The incumbent, for checkpoints and the final answer. Call only while
+  // no workers run.
+  auto currentIncumbent = [&Shared]() {
     MutexLock Lock(Shared.BestMutex);
-    if (Shared.HasBest) {
-      CostOut = Shared.BestTopology.cost();
-      return Engine.finalize(Shared.BestTopology);
-    }
-    if (HasResumeIncumbent &&
-        ResumeUb <= Engine.initialUpperBound() + Eps) {
-      CostOut = ResumeUb;
-      return ResumeIncumbent;
-    }
-    CostOut = Engine.initialUpperBound();
-    return Engine.initialTree();
+    return Shared.Best;
   };
 
   const bool Checkpointing =
       Options.Checkpoint != nullptr && (Options.CheckpointEveryNodes > 0 ||
                                         Options.CheckpointEverySeconds > 0.0);
   CheckpointPacer Pacer(Options.CheckpointEveryNodes,
-                        Options.CheckpointEverySeconds,
-                        Shared.TotalBranched.load(std::memory_order_relaxed));
+                        Options.CheckpointEverySeconds, BudgetBase);
 
   // Checkpoint rounds: run the workers; when a checkpoint comes due,
   // raise `Paused` so every worker returns its pool to the global pool
@@ -309,24 +207,16 @@ ParallelMutResult mutk::solveMutThreaded(const DistanceMatrix &M,
   std::vector<std::thread> Threads;
   Threads.reserve(static_cast<std::size_t>(NumWorkers));
   while (!Frontier.empty()) {
-    // Step 6: sort by lower bound and deal cyclically.
-    std::sort(Frontier.begin(), Frontier.end(),
-              [&Engine](const Topology &A, const Topology &B) {
-                return Engine.lowerBound(A) < Engine.lowerBound(B);
-              });
-    std::vector<std::deque<Topology>> LocalPools(
-        static_cast<std::size_t>(NumWorkers));
-    for (std::size_t I = 0; I < Frontier.size(); ++I)
-      LocalPools[I % static_cast<std::size_t>(NumWorkers)].push_front(
-          std::move(Frontier[I]));
-    // After push_front of ascending nodes, the back of each pool is the
-    // best node — the invariant workerMain maintains.
     {
       MutexLock Lock(Shared.PoolMutex);
       Shared.Outstanding = static_cast<long>(Frontier.size());
       Shared.Paused = false;
     }
-    Frontier.clear();
+    std::vector<std::deque<Topology>> LocalPools(
+        static_cast<std::size_t>(NumWorkers));
+    dealSeeds(Engine, Frontier, NumWorkers, [&](int W, Topology &&T) {
+      LocalPools[static_cast<std::size_t>(W)].push_front(std::move(T));
+    });
 
     Threads.clear();
     for (int W = 0; W < NumWorkers; ++W)
@@ -372,33 +262,18 @@ ParallelMutResult mutk::solveMutThreaded(const DistanceMatrix &M,
     if (Frontier.empty())
       break;
 
-    SearchCheckpoint Ck;
-    Ck.Frontier = Frontier;
-    Ck.UpperBound = 0.0;
-    Ck.Incumbent = currentIncumbent(Ck.UpperBound);
-    Ck.Stats = mergedStats();
-    Ck.Stats.Complete = false; // a checkpoint is an unfinished search
-    Ck.MatrixKey = MatrixKey;
-    Options.Checkpoint->checkpoint(Ck);
+    writeCheckpoint(Engine, Options, MatrixKey, currentIncumbent(),
+                    mergedStats(), Frontier);
     Pacer.taken(Shared.TotalBranched.load(std::memory_order_relaxed));
   }
 
-  // Merge statistics.
   Result.Stats = mergedStats();
-  Result.Tree = currentIncumbent(Result.Cost);
   {
     // Workers are joined; the lock only satisfies the analysis.
     MutexLock Lock(Shared.PoolMutex);
     Result.Stats.Complete = !Shared.Cancelled;
   }
-  // Same contract as the sequential solver: whatever tree we answer with
-  // must be a feasible ultrametric tree for M.
-  MUTK_AUDIT(Result.Tree.hasMonotoneHeights(),
-             "threaded B&B result must be ultrametric");
-  MUTK_AUDIT(Result.Tree.dominatesMatrix(M),
-             "threaded B&B result must dominate the input matrix "
-             "(d_T >= M)");
-  if (Options.PublishMetrics)
-    obs::recordBnbSolve(Result.Stats);
+  finishResult(Engine, M, currentIncumbent(), Options.PublishMetrics,
+               Result);
   return Result;
 }

@@ -2,7 +2,7 @@
 
 #include "sim/ClusterSim.h"
 
-#include "bnb/Engine.h"
+#include "bnb/Search.h"
 
 #include <algorithm>
 #include <cassert>
@@ -48,69 +48,21 @@ ClusterSimResult mutk::simulateClusterBnb(const DistanceMatrix &M,
 
   ClusterSimResult Result;
   Result.Nodes.resize(static_cast<std::size_t>(Spec.NumNodes));
-  if (M.size() <= 1) {
-    if (M.size() == 1) {
-      Result.Tree.addLeaf(0);
-      Result.Tree.setNames(M.names());
-    }
+  if (solveTrivial(M, Result))
     return Result;
-  }
 
   BnbEngine Engine(M, Options);
   const double Eps = Options.Epsilon;
   const int P = Spec.NumNodes;
-
-  double GlobalUb = Engine.initialUpperBound();
-  bool HasBest = false;
-  Topology BestTopology;
-
-  auto acceptSolution = [&](const Topology &T) {
-    double Cost = T.cost();
-    if (Cost >= GlobalUb - Eps)
-      return false;
-    GlobalUb = Cost;
-    BestTopology = T;
-    HasBest = true;
-    return true;
-  };
+  Incumbent Inc(Engine);
+  Expander Step(Engine);
 
   // --- Master phase (Steps 4-5): seed the BBT to 2 * P frontier nodes.
-  std::deque<Topology> Frontier;
-  std::vector<BranchedChild> Branches;
-  Frontier.push_back(Engine.rootTopology());
   BnbStats &Stats = Result.Stats;
-  std::uint64_t SeedBranched = 0;
-  while (!Frontier.empty() && static_cast<int>(Frontier.size()) < 2 * P) {
-    Topology T = std::move(Frontier.front());
-    Frontier.pop_front();
-    if (Engine.isComplete(T)) {
-      acceptSolution(T);
-      continue;
-    }
-    ++Stats.Branched;
-    ++SeedBranched;
-    Engine.branch(T, GlobalUb, Stats, Branches);
-    for (BranchedChild &BC : Branches) {
-      Topology &Child = BC.Node;
-      if (Engine.isComplete(Child)) {
-        if (acceptSolution(Child))
-          ++Stats.UbUpdates;
-        continue;
-      }
-      Frontier.push_back(std::move(Child));
-    }
-  }
-  Result.SeedTime =
-      static_cast<double>(SeedBranched) * Spec.BranchCost;
+  std::vector<Topology> Seeds = Step.seed(P, Inc, Stats);
+  Result.SeedTime = static_cast<double>(Stats.Branched) * Spec.BranchCost;
 
   // --- Step 6: sort by LB, deal cyclically, charge the transfer.
-  std::vector<Topology> Sorted(std::make_move_iterator(Frontier.begin()),
-                               std::make_move_iterator(Frontier.end()));
-  std::sort(Sorted.begin(), Sorted.end(),
-            [&Engine](const Topology &A, const Topology &B) {
-              return Engine.lowerBound(A) < Engine.lowerBound(B);
-            });
-
   std::vector<SimNode> Nodes(static_cast<std::size_t>(P));
   for (int I = 0; I < P; ++I) {
     SimNode &N = Nodes[static_cast<std::size_t>(I)];
@@ -119,11 +71,11 @@ ClusterSimResult mutk::simulateClusterBnb(const DistanceMatrix &M,
                   : 1.0;
     assert(N.Speed > 0.0 && "node speeds must be positive");
     N.Clock = Result.SeedTime + Spec.PoolTransferCost;
-    N.KnownUb = GlobalUb;
+    N.KnownUb = Inc.Ub;
   }
-  for (std::size_t I = 0; I < Sorted.size(); ++I)
-    Nodes[I % static_cast<std::size_t>(P)].Local.push_front(
-        std::move(Sorted[I])); // back = best after the push_front deal
+  dealSeeds(Engine, Seeds, P, [&Nodes](int I, Topology &&T) {
+    Nodes[static_cast<std::size_t>(I)].Local.push_front(std::move(T));
+  });
 
   std::vector<UbEvent> Events;
   std::deque<PoolEntry> GlobalPool;
@@ -131,8 +83,7 @@ ClusterSimResult mutk::simulateClusterBnb(const DistanceMatrix &M,
   // --- Step 7: event loop. Always advance the node able to act at the
   // earliest virtual time.
   for (;;) {
-    if (Options.MaxBranchedNodes != 0 &&
-        Stats.Branched >= Options.MaxBranchedNodes) {
+    if (budgetSpent(Options, Stats.Branched)) {
       Stats.Complete = false;
       break;
     }
@@ -164,18 +115,16 @@ ClusterSimResult mutk::simulateClusterBnb(const DistanceMatrix &M,
       break; // no node has or can obtain work: done
 
     SimNode &N = Nodes[static_cast<std::size_t>(Best)];
-    Topology Current;
     if (BestIsPull) {
       N.Stats.IdleTime += std::max(0.0, BestStart - Spec.PoolTransferCost -
                                             N.Clock);
       N.Clock = BestStart;
-      Current = std::move(GlobalPool.front().Node);
+      N.Local.push_back(std::move(GlobalPool.front().Node));
       GlobalPool.pop_front();
       ++N.Stats.PulledFromGlobal;
-    } else {
-      Current = std::move(N.Local.back());
-      N.Local.pop_back();
     }
+    Topology Current = std::move(N.Local.back());
+    N.Local.pop_back();
 
     // Observe UB broadcasts that have reached this node by now. Event
     // times are not globally ordered (nodes advance at different rates),
@@ -185,38 +134,32 @@ ClusterSimResult mutk::simulateClusterBnb(const DistanceMatrix &M,
       if (E.Time + Spec.UbBroadcastLatency <= N.Clock)
         N.KnownUb = std::min(N.KnownUb, E.Value);
 
-    if (Engine.lowerBound(Current) >= N.KnownUb - Eps) {
-      double Cost = Spec.BoundCheckCost / N.Speed;
-      N.Clock += Cost;
-      N.Stats.BusyTime += Cost;
-      N.Stats.FinishTime = N.Clock;
-      ++Stats.PrunedByBound;
-      continue;
-    }
-
-    ++Stats.Branched;
-    ++N.Stats.Branched;
-    double Cost = Spec.BranchCost / N.Speed;
+    bool Pruned =
+        Step.pruned(Current, Engine.lowerBound(Current), N.KnownUb, Stats);
+    double Cost = (Pruned ? Spec.BoundCheckCost : Spec.BranchCost) / N.Speed;
     N.Clock += Cost;
     N.Stats.BusyTime += Cost;
     N.Stats.FinishTime = N.Clock;
+    if (Pruned)
+      continue;
 
-    Engine.branch(Current, N.KnownUb, Stats, Branches);
-    for (std::size_t I = Branches.size(); I > 0; --I) {
-      Topology &Child = Branches[I - 1].Node;
-      if (Engine.isComplete(Child)) {
-        double ChildCost = Child.cost();
-        if (ChildCost < N.KnownUb - Eps) {
-          N.KnownUb = ChildCost;
-          ++N.Stats.UbUpdates;
-          Events.push_back(UbEvent{N.Clock, ChildCost});
-          if (acceptSolution(Child))
-            ++Stats.UbUpdates;
-        }
-        continue;
-      }
-      N.Local.push_back(std::move(Child)); // worst first, best last
-    }
+    ++N.Stats.Branched;
+
+    Step.branch(
+        std::move(Current), N.KnownUb, Stats,
+        [&](const Topology &Child) {
+          double ChildCost = Child.cost();
+          if (ChildCost < N.KnownUb - Eps) {
+            N.KnownUb = ChildCost;
+            ++N.Stats.UbUpdates;
+            Events.push_back(UbEvent{N.Clock, ChildCost});
+            if (Inc.offer(Child, Eps))
+              ++Stats.UbUpdates;
+          }
+        },
+        [&N](BranchedChild &&Child) {
+          N.Local.push_back(std::move(Child.Node));
+        });
 
     // Donate the worst local node when the global pool is dry.
     if (Spec.UseGlobalPool && GlobalPool.empty() && N.Local.size() > 1) {
@@ -239,13 +182,7 @@ ClusterSimResult mutk::simulateClusterBnb(const DistanceMatrix &M,
     S.IdleTime += Makespan - S.FinishTime;
   Result.Makespan = Makespan;
 
-  if (HasBest) {
-    Result.Tree = Engine.finalize(BestTopology);
-    Result.Cost = BestTopology.cost();
-  } else {
-    Result.Tree = Engine.initialTree();
-    Result.Cost = Engine.initialUpperBound();
-  }
+  finishResult(Engine, M, Inc, /*Publish=*/false, Result);
   return Result;
 }
 

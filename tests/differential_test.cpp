@@ -13,6 +13,7 @@
 #include "matrix/MetricUtils.h"
 #include "mp/MpBnb.h"
 #include "parallel/ThreadedBnb.h"
+#include "seq/EvolutionSim.h"
 #include "sim/ClusterSim.h"
 #include "support/Rng.h"
 #include "tree/RobinsonFoulds.h"
@@ -21,6 +22,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 using namespace mutk;
 
@@ -120,5 +123,55 @@ TEST(Differential, SolversAgreeOnMixedWorkloadSweep) {
     double Dfs = solveMutSequential(M).Cost;
     EXPECT_NEAR(solveMutBestFirst(M).Cost, Dfs, 1e-9);
     EXPECT_NEAR(solveMutThreaded(M, 2).Cost, Dfs, 1e-9);
+  }
+}
+
+TEST(Differential, OneWorkerDfsDriversVisitTheSameNodes) {
+  // With one worker every DFS driver must pop exactly the nodes the
+  // sequential solver pops, in the same order: children go to the pool
+  // best last and the dealt seeds leave the best one at the back. Any
+  // ordering drift shows up as a different node count.
+  EvolutionSpec HardDna; // the benchmarks' hardDnaWorkload spec
+  HardDna.SequenceLength = 120;
+  HardDna.SubstitutionRate = 0.5;
+  HardDna.RateVariation = 1.2;
+  std::vector<std::pair<std::string, DistanceMatrix>> Fixtures;
+  for (std::uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    std::string S = std::to_string(Seed);
+    Fixtures.emplace_back("unif13/" + S,
+                          uniformRandomMetric(13, Seed, 1.0, 100.0));
+    Fixtures.emplace_back("harddna14/" + S,
+                          hmdnaLikeMatrix(14, Seed, HardDna));
+    Fixtures.emplace_back("tied10/" + S, tiedMetric(10, Seed));
+  }
+  for (const auto &[Name, M] : Fixtures) {
+    for (ThreeThreeMode Mode :
+         {ThreeThreeMode::None, ThreeThreeMode::ThirdSpecies}) {
+      BnbOptions Options;
+      Options.ThreeThree = Mode;
+      MutResult Seq = solveMutSequential(M, Options);
+      ParallelMutResult Threaded = solveMutThreaded(M, 1, Options);
+      ClusterSimResult Sim = simulateSequentialBaseline(M, Options);
+      MpMutResult Mp = solveMutMessagePassing(M, 1, Options);
+      const std::string Case =
+          Name + (Mode == ThreeThreeMode::None ? " none" : " third");
+      auto expectSameNodes = [&](const char *Driver, const MutResult &R,
+                                 bool CheckBoundEvals) {
+        SCOPED_TRACE(Case + " " + Driver);
+        EXPECT_EQ(R.Cost, Seq.Cost);
+        EXPECT_EQ(R.Stats.Branched, Seq.Stats.Branched);
+        EXPECT_EQ(R.Stats.Generated, Seq.Stats.Generated);
+        EXPECT_EQ(R.Stats.PrunedByBound, Seq.Stats.PrunedByBound);
+        EXPECT_EQ(R.Stats.PrunedByThreeThree, Seq.Stats.PrunedByThreeThree);
+        EXPECT_EQ(R.Stats.UbUpdates, Seq.Stats.UbUpdates);
+        if (CheckBoundEvals) {
+          EXPECT_EQ(R.Stats.BoundEvals, Seq.Stats.BoundEvals);
+        }
+      };
+      expectSameNodes("threaded", Threaded, true);
+      expectSameNodes("sim", Sim, true);
+      // BoundEvals does not travel on the message-passing wire.
+      expectSameNodes("mp", Mp, false);
+    }
   }
 }
