@@ -27,6 +27,17 @@
 // smoke run (smaller matrices, single repetition); the identity and
 // engagement gates still apply.
 //
+// Every row is also compared against the committed baseline
+// bench/baseline/hotloop.json (path fixed at compile time), which holds
+// the machine-independent part of each row for the smoke and the full
+// set: the cost to the last bit, and for the deterministic engines
+// (sequential, best-first, sim) the branched and 3-3-pruned node counts
+// and the sim's virtual makespan. Any mismatch, missing or extra row
+// exits nonzero, so a hot-loop change that alters what the search
+// visits cannot pass as a pure speedup. A change that is *meant* to
+// alter the search regenerates this set's rows with `--update-baseline`
+// and commits them together with the change.
+//
 //===----------------------------------------------------------------------===//
 
 #include "Workloads.h"
@@ -40,11 +51,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
+
+#ifndef MUTK_HOTLOOP_BASELINE
+#error "MUTK_HOTLOOP_BASELINE must name the committed baseline file"
+#endif
 
 using namespace mutk;
 
@@ -150,8 +167,90 @@ void writeJson(const std::vector<ResultRow> &Rows) {
   std::printf("  wrote BENCH_hotloop.json (%zu rows)\n", Rows.size());
 }
 
-void printTable() {
+/// Engines whose node counts and makespan repeat exactly run to run; the
+/// threaded and message-passing schedules vary, so only their cost is
+/// pinned.
+bool isDeterministic(const std::string &Engine) {
+  return Engine == "sequential" || Engine == "bestfirst" || Engine == "sim";
+}
+
+/// One row of the committed baseline: a single JSON object on one line.
+std::string baselineLine(const char *Set, const ResultRow &R) {
+  char Buf[384];
+  int Len = std::snprintf(Buf, sizeof(Buf),
+                          "{\"set\":\"%s\",\"workload\":\"%s\",\"species\":%d,"
+                          "\"engine\":\"%s\",\"mode\":\"%s\",\"cost\":%.17g",
+                          Set, R.Workload.c_str(), R.Species, R.Engine, R.Mode,
+                          R.Cost);
+  std::string Line(Buf, static_cast<std::size_t>(Len));
+  if (isDeterministic(R.Engine)) {
+    std::snprintf(Buf, sizeof(Buf),
+                  ",\"branched\":%llu,\"pruned_threethree\":%llu",
+                  static_cast<unsigned long long>(R.Branched),
+                  static_cast<unsigned long long>(R.PrunedThreeThree));
+    Line += Buf;
+  }
+  if (std::string(R.Engine) == "sim") {
+    std::snprintf(Buf, sizeof(Buf), ",\"makespan\":%.17g", R.Makespan);
+    Line += Buf;
+  }
+  return Line + "}";
+}
+
+/// The baseline's row lines, trailing commas removed: \p Set's rows, or
+/// with \p Keep false every other set's rows.
+std::vector<std::string> readBaseline(const char *Set, bool Keep = true) {
+  const std::string Prefix = std::string("{\"set\":\"") + Set + "\"";
+  std::vector<std::string> Rows;
+  std::ifstream In(MUTK_HOTLOOP_BASELINE);
+  std::string Line;
+  while (std::getline(In, Line)) {
+    if (Line.rfind("{\"set\":", 0) != 0 ||
+        (Line.rfind(Prefix, 0) == 0) != Keep)
+      continue;
+    if (Line.back() == ',')
+      Line.pop_back();
+    Rows.push_back(Line);
+  }
+  return Rows;
+}
+
+/// Replaces \p Set's rows of the baseline file with \p Rows, keeping
+/// the other set's rows. \returns false when the file cannot be written.
+bool updateBaseline(const char *Set, const std::vector<ResultRow> &Rows) {
+  std::vector<std::string> Lines = readBaseline(Set, /*Keep=*/false);
+  for (const ResultRow &R : Rows)
+    Lines.push_back(baselineLine(Set, R));
+  std::ofstream Out(MUTK_HOTLOOP_BASELINE, std::ios::trunc);
+  Out << "{\"bench\":\"ext_bnb_hotloop\",\"rows\":[\n";
+  for (std::size_t I = 0; I < Lines.size(); ++I)
+    Out << Lines[I] << (I + 1 < Lines.size() ? ",\n" : "\n");
+  Out << "]}\n";
+  return static_cast<bool>(Out);
+}
+
+/// Compares \p Rows, in run order, with \p Set's committed baseline
+/// rows. \returns the number of differing rows, each printed.
+int compareWithBaseline(const char *Set, const std::vector<ResultRow> &Rows) {
+  const std::vector<std::string> Expected = readBaseline(Set);
+  int Mismatches = 0;
+  for (std::size_t I = 0; I < std::max(Expected.size(), Rows.size()); ++I) {
+    const std::string Got =
+        I < Rows.size() ? baselineLine(Set, Rows[I]) : "(no row)";
+    const std::string Want = I < Expected.size() ? Expected[I] : "(no row)";
+    if (Got == Want)
+      continue;
+    std::printf("  !! baseline row %zu differs\n     got      %s\n"
+                "     expected %s\n",
+                I, Got.c_str(), Want.c_str());
+    ++Mismatches;
+  }
+  return Mismatches;
+}
+
+void printTable(bool UpdateBaseline) {
   const bool Smoke = std::getenv("MUTK_BENCH_SMOKE") != nullptr;
+  const char *Set = Smoke ? "smoke" : "full";
   bench::banner(
       "Extension: B&B hot-loop cost identity and throughput",
       "Every engine x {None, ThirdSpecies} must return the exact same "
@@ -242,6 +341,20 @@ void printTable() {
     }
   }
   writeJson(Rows);
+  if (UpdateBaseline) {
+    if (!updateBaseline(Set, Rows)) {
+      std::printf("  !! could not write %s\n", MUTK_HOTLOOP_BASELINE);
+      std::exit(1);
+    }
+    std::printf("  updated the %s rows of %s\n", Set, MUTK_HOTLOOP_BASELINE);
+  } else if (int Mismatches = compareWithBaseline(Set, Rows)) {
+    std::printf("  !! %d mismatches against %s\n", Mismatches,
+                MUTK_HOTLOOP_BASELINE);
+    Failed = true;
+  } else {
+    std::printf("  all %zu rows match the committed %s baseline\n",
+                Rows.size(), Set);
+  }
   if (Failed) {
     std::printf("  !! hot-loop gates failed\n");
     std::exit(1);
@@ -271,7 +384,16 @@ BENCHMARK(BM_HotloopSequentialThird)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
-  printTable();
+  bool UpdateBaseline = false;
+  for (int I = 1; I < argc; ++I) {
+    if (std::strcmp(argv[I], "--update-baseline") == 0) {
+      UpdateBaseline = true;
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[I]);
+      return 2;
+    }
+  }
+  printTable(UpdateBaseline);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

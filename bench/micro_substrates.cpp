@@ -93,24 +93,56 @@ void BM_HmdnaMatrix(benchmark::State &State) {
 }
 BENCHMARK(BM_HmdnaMatrix)->Arg(16)->Arg(26);
 
-void BM_BranchOneNode(benchmark::State &State) {
+/// One `branch()` of a mid-depth topology against \p Ub(Engine, T). The
+/// topology places half the species, each at its cheapest position, so
+/// its bound is below UPGMM's as on the nodes a search really branches.
+/// The `survivors` counter reports how many children the bound kept.
+template <class UbFn> void branchOneNode(benchmark::State &State, UbFn Ub) {
   DistanceMatrix M = bench::unifWorkload(static_cast<int>(State.range(0)), 1);
   BnbEngine Engine(M, {});
-  // A mid-depth topology: insert half the species greedily.
   Topology T = Engine.rootTopology();
-  while (T.numPlaced() < M.size() / 2)
-    T = T.withNextSpeciesAt(0, Engine.relabeledMatrix());
+  while (T.numPlaced() < M.size() / 2) {
+    Topology Best = T.withNextSpeciesAt(0, Engine.relabeledMatrix());
+    for (int Pos = 1; Pos < T.numNodes(); ++Pos) {
+      Topology Child = T.withNextSpeciesAt(Pos, Engine.relabeledMatrix());
+      if (Child.cost() < Best.cost())
+        Best = Child;
+    }
+    T = Best;
+  }
+  const double UpperBound = Ub(Engine, T);
   BnbStats Stats;
   TopologyArena Arena(Engine.numSpecies());
   std::vector<BranchedChild> Children;
+  BranchScratch Scratch;
   for (auto _ : State) {
-    Engine.branch(T, Engine.initialUpperBound(), Stats, Children, &Arena);
+    Engine.branch(T, UpperBound, Stats, Children, Scratch, &Arena);
     benchmark::DoNotOptimize(Children.size());
+    State.counters["survivors"] = static_cast<double>(Children.size());
     for (BranchedChild &BC : Children)
       Arena.release(std::move(BC.Node));
   }
 }
+
+/// The UPGMM bound. It keeps 3, 1 and 34 of the 15, 31 and 63 children
+/// at n = 16, 32 and 64, so the n = 64 row mostly measures building
+/// survivors.
+void BM_BranchOneNode(benchmark::State &State) {
+  branchOneNode(State, [](const BnbEngine &Engine, const Topology &) {
+    return Engine.initialUpperBound();
+  });
+}
 BENCHMARK(BM_BranchOneNode)->Arg(16)->Arg(32)->Arg(64);
+
+/// A tight bound, the node's own lower bound plus a slack of 1 on
+/// distances in [1, 100]: most children are pruned, so this measures
+/// the scored-prune path that dominates a real search.
+void BM_BranchOneNodeTight(benchmark::State &State) {
+  branchOneNode(State, [](const BnbEngine &Engine, const Topology &T) {
+    return Engine.lowerBound(T) + 1.0;
+  });
+}
+BENCHMARK(BM_BranchOneNodeTight)->Arg(16)->Arg(32)->Arg(64);
 
 } // namespace
 

@@ -2,9 +2,9 @@
 ///
 /// \file
 /// A per-solver recycling pool for `Topology` storage (the optimer
-/// `MemoryManager` idiom): `BnbEngine::branch()` draws child topologies
-/// from the pool and the solvers return pruned / consumed ones, so after
-/// warm-up an expansion performs zero heap allocation — the
+/// `MemoryManager` idiom): `BnbEngine::branch()` draws the children it
+/// builds from the pool and the solvers return pruned / consumed ones,
+/// so after warm-up an expansion performs zero heap allocation — the
 /// copy-assignment inside `Topology::expandInto` reuses the recycled
 /// vectors' capacity.
 ///

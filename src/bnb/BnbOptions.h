@@ -105,11 +105,11 @@ struct BnbStats {
   /// Children discarded by the 3-3 relationship constraint.
   std::uint64_t PrunedByThreeThree = 0;
   /// Lower-bound evaluations inside `branch()` — exactly one per
-  /// generated child: the bound is computed once, cached next to the
-  /// topology, and reused by the pruning guard, the best-first sort and
-  /// the caller. A process-local diagnostic: not persisted in
-  /// checkpoints and not carried on the MP wire, so it restarts at zero
-  /// on resume.
+  /// generated child: either the child's score, when it prunes the child
+  /// unbuilt, or the built child's bound, cached next to the topology and
+  /// reused by the pruning guard, the best-first sort and the caller.
+  /// Carried on the MP wire, but not persisted in checkpoints, so it
+  /// restarts at zero on resume.
   std::uint64_t BoundEvals = 0;
   /// Number of strict upper-bound improvements.
   std::uint64_t UbUpdates = 0;

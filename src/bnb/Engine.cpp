@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 using namespace mutk;
 
@@ -96,7 +97,7 @@ bool BnbEngine::threeThreeAllows(const Topology &Child) const {
 
 void BnbEngine::branch(const Topology &T, double UpperBound, BnbStats &Stats,
                        std::vector<BranchedChild> &Children,
-                       TopologyArena *Arena) const {
+                       BranchScratch &Scratch, TopologyArena *Arena) const {
   assert(!isComplete(T) && "cannot branch a complete topology");
   const int Positions = T.numNodes();
   Children.clear();
@@ -107,18 +108,39 @@ void BnbEngine::branch(const Topology &T, double UpperBound, BnbStats &Stats,
   // precedence note on ThreeThreeMode.
   const bool ThreeThreeFirst =
       Opts.ThreeThree != ThreeThreeMode::AllInsertions;
+  // Where the filter runs first and can reject (ThirdSpecies inserting
+  // species 2), every child is built so that the filter sees it first.
+  const bool ScorePrunes = !(Opts.ThreeThree == ThreeThreeMode::ThirdSpecies &&
+                             T.numPlaced() == 2);
+  // The exact rule prunes LB >= UB - eps, or LB > UB + eps when collecting
+  // co-optima. A score above that boundary plus a margin far wider than
+  // the score's rounding error (docs/ALGORITHMS.md, "Scoring children")
+  // implies the built child would be pruned too; every other child is
+  // built and judged exactly.
+  const double Boundary = Opts.CollectAllOptimal ? UpperBound + Opts.Epsilon
+                                                 : UpperBound - Opts.Epsilon;
+  const double ScoreCutoff = Boundary + 1e-10 * (1.0 + std::fabs(UpperBound));
+  const double Rest = Remainder[static_cast<std::size_t>(T.numPlaced()) + 1];
+  T.scoreInsertions(Relabeled, Scratch.Costs, Scratch.X);
   // Positions 0..numNodes()-1 cover every edge once (the root position is
   // the above-root insertion).
   for (int Position = 0; Position < Positions; ++Position) {
+    ++Stats.Generated;
+    // The bound is evaluated exactly once per generated child: scored
+    // here, or on the built child below, where the cached value feeds the
+    // guard, the sort, and the caller.
+    ++Stats.BoundEvals;
+    if (ScorePrunes &&
+        Scratch.Costs[static_cast<std::size_t>(Position)] + Rest >
+            ScoreCutoff) {
+      ++Stats.PrunedByBound;
+      continue;
+    }
     BranchedChild Child;
     if (Arena)
       Child.Node = Arena->acquire();
     T.expandInto(Position, Relabeled, Child.Node);
-    ++Stats.Generated;
-    // The bound is O(1) and evaluated exactly once per generated child;
-    // the cached value feeds the guard, the sort, and the caller.
     Child.LowerBound = lowerBound(Child.Node);
-    ++Stats.BoundEvals;
     if (ThreeThreeFirst && !threeThreeAllows(Child.Node)) {
       ++Stats.PrunedByThreeThree;
       if (Arena)

@@ -34,6 +34,14 @@ struct BranchedChild {
   double LowerBound = 0.0;
 };
 
+/// Per-solver scratch for `BnbEngine::branch()`: the insertion scores of
+/// `Topology::scoreInsertions` and the per-node maxima they are computed
+/// from. Reusing one across calls keeps scoring allocation-free.
+struct BranchScratch {
+  std::vector<double> Costs;
+  std::vector<double> X;
+};
+
 /// Immutable per-solve machinery. Thread-safe after construction (all
 /// methods are const and touch no mutable state).
 class BnbEngine {
@@ -71,21 +79,32 @@ public:
   /// the 3-3 filter per `options().ThreeThree`, drops children whose
   /// lower bound reaches \p UpperBound, and fills \p Children with the
   /// survivors sorted by ascending cached lower bound (best-first).
-  /// \p Children is cleared first; reusing one vector across calls keeps
-  /// its capacity and makes the expansion allocation-free.
+  /// \p Children is cleared first; reusing one vector (and one
+  /// \p Scratch) across calls keeps its capacity and makes the expansion
+  /// allocation-free.
+  ///
+  /// Every position is scored first (`Topology::scoreInsertions`, into
+  /// \p Scratch). A child whose scored lower bound clears the pruning
+  /// boundary by a rounding margin is pruned without being built; every
+  /// other child is built and judged on its exact cost, so the pruned
+  /// set, the survivors and their bounds are those of building every
+  /// child (docs/ALGORITHMS.md, "Scoring children"). The insertion of
+  /// species 2 under `ThirdSpecies` is always built, so the 3-3 filter
+  /// keeps its precedence.
   ///
   /// Each generated child's lower bound is evaluated exactly once
-  /// (`Stats.BoundEvals`) and cached in the `BranchedChild`. Pruning
-  /// attribution follows the precedence documented on `ThreeThreeMode`.
+  /// (`Stats.BoundEvals`): scored, or computed on the built child and
+  /// cached in the `BranchedChild`. Pruning attribution follows the
+  /// precedence documented on `ThreeThreeMode`.
   ///
-  /// When \p Arena is non-null, child topologies are drawn from it and
-  /// pruned ones are returned to it; callers should release consumed
+  /// When \p Arena is non-null, built child topologies are drawn from it
+  /// and pruned ones are returned to it; callers should release consumed
   /// survivors back to the same arena.
   ///
   /// \param [in,out] Stats Generated / PrunedByBound / PrunedByThreeThree
   /// / BoundEvals are incremented.
   void branch(const Topology &T, double UpperBound, BnbStats &Stats,
-              std::vector<BranchedChild> &Children,
+              std::vector<BranchedChild> &Children, BranchScratch &Scratch,
               TopologyArena *Arena = nullptr) const;
 
   /// Converts a complete topology back to original labels and attaches

@@ -99,8 +99,9 @@ enum class ChildOrder {
   BestFirst,
 };
 
-/// One searcher's node step and scratch: the reused `branch()` output
-/// and the topology arena, so expansion allocates nothing after warm-up.
+/// One searcher's node step and scratch: the reused `branch()` output,
+/// its insertion scores and the topology arena, so expansion allocates
+/// nothing after warm-up.
 /// Not thread-safe; every worker owns one.
 class Expander {
 public:
@@ -135,7 +136,7 @@ public:
       return;
     }
     ++Stats.Branched;
-    Engine.branch(Node, Ub, Stats, Children, &Arena);
+    Engine.branch(Node, Ub, Stats, Children, Scratch, &Arena);
     Arena.release(std::move(Node));
     const std::size_t Count = Children.size();
     for (std::size_t I = 0; I < Count; ++I) {
@@ -172,6 +173,7 @@ private:
   const BnbEngine &Engine;
   TopologyArena Arena;
   std::vector<BranchedChild> Children;
+  BranchScratch Scratch;
 };
 
 /// Step 6 of the parallel drivers: sorts \p Frontier by lower bound and

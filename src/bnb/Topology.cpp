@@ -5,6 +5,7 @@
 #include "tree/UltrametricFit.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 using namespace mutk;
@@ -121,6 +122,61 @@ void Topology::expandInto(int Position, const DistanceMatrix &M,
   Out.Placed = Placed;
   Out.Cost = Cost;
   Out.insertNextAt(Position, M);
+}
+
+void Topology::scoreInsertions(const DistanceMatrix &M,
+                               std::vector<double> &Costs,
+                               std::vector<double> &X) const {
+  assert(Placed < M.size() && "all species already placed");
+  const double *RowS = M.row(Placed);
+  const std::size_t Count = Nodes.size();
+  Costs.resize(Count);
+  X.resize(Count);
+
+  // Node indices are not topologically ordered, so list the nodes
+  // parents-first, using the list itself as the work queue.
+  std::array<std::int16_t, 2 * MaxBnbSpecies - 1> Order{};
+  std::size_t Listed = 0;
+  Order[Listed++] = Root;
+  for (std::size_t I = 0; I < Listed; ++I) {
+    const Node &N = Nodes[static_cast<std::size_t>(Order[I])];
+    if (!N.isLeaf()) {
+      Order[Listed++] = N.Left;
+      Order[Listed++] = N.Right;
+    }
+  }
+
+  // Children first: X(v) = max over v's leaves j of M[s, j] / 2.
+  for (std::size_t I = Listed; I-- > 0;) {
+    const std::size_t V = static_cast<std::size_t>(Order[I]);
+    const Node &N = Nodes[V];
+    X[V] = N.isLeaf() ? RowS[N.Leaf] / 2.0
+                      : std::max(X[static_cast<std::size_t>(N.Left)],
+                                 X[static_cast<std::size_t>(N.Right)]);
+  }
+
+  // Splitting the edge above c adds a node of height max(H[c], X[c]), and
+  // every strict ancestor a rises to max(H[a], X[a]) whichever edge below
+  // it was split (docs/ALGORITHMS.md, "Scoring children"). The child
+  // costs the parent's weight plus the new height plus the ancestors'
+  // rises, plus the root's rise once more: the root height counts twice.
+  // Parents-first, Costs[v] first holds the rises above v and is then
+  // overwritten with v's score.
+  auto risen = [&](std::size_t V) { return std::max(Nodes[V].Height, X[V]); };
+  const std::size_t R = static_cast<std::size_t>(Root);
+  const double RootRise = risen(R) - Nodes[R].Height;
+  Costs[R] = 0.0;
+  for (std::size_t I = 0; I < Listed; ++I) {
+    const std::size_t V = static_cast<std::size_t>(Order[I]);
+    const Node &N = Nodes[V];
+    const double NewHeight = risen(V);
+    if (!N.isLeaf()) {
+      const double Above = Costs[V] + (NewHeight - N.Height);
+      Costs[static_cast<std::size_t>(N.Left)] = Above;
+      Costs[static_cast<std::size_t>(N.Right)] = Above;
+    }
+    Costs[V] = Cost + (NewHeight + (Costs[V] + RootRise));
+  }
 }
 
 void Topology::insertNextAt(int Position, const DistanceMatrix &M) {

@@ -33,8 +33,9 @@ inline constexpr int MaxBnbSpecies = 64;
 /// A partial ultrametric-tree topology over species `0..k-1` with minimal
 /// feasible heights for a fixed distance matrix.
 ///
-/// Copies are cheap (one vector of PODs); the B&B duplicates a topology
-/// for every branching position.
+/// Copies are cheap (one vector of PODs). The B&B scores every branching
+/// position first (`scoreInsertions`) and copies the topology only for the
+/// children the bound cannot prune on their score.
 class Topology {
 public:
   /// One tree node. Leaves have `Leaf >= 0`; heights are minimal feasible.
@@ -97,6 +98,16 @@ public:
   /// Topology recycled through a `TopologyArena` keeps its vectors, so
   /// after warm-up an expansion performs no heap allocation.
   void expandInto(int Position, const DistanceMatrix &M, Topology &Out) const;
+
+  /// Scores every insertion of species `numPlaced()` without building
+  /// the child: on return `Costs[p]` is the cost of
+  /// `withNextSpeciesAt(p, M)` for each position `p` in
+  /// `0..numNodes()-1`, equal up to rounding (the child sums the same
+  /// heights in another order). \p X is scratch and holds, per node `v`,
+  /// `max_{j in mask(v)} M[s, j] / 2`. Both vectors are resized; reusing
+  /// them across calls keeps scoring allocation-free. O(numNodes()).
+  void scoreInsertions(const DistanceMatrix &M, std::vector<double> &Costs,
+                       std::vector<double> &X) const;
 
   /// Reserves storage for a full solve over \p NumSpecies species
   /// (`2n - 1` nodes). Used by `TopologyArena` to pre-size fresh pool

@@ -70,10 +70,11 @@ std::vector<std::uint8_t> encodeStats(const BnbStats &Stats,
   Writer.writeU64(Worker.StolenFromPeers);
   Writer.writeU64(Worker.DonatedToPeers);
   Writer.writeU64(Worker.PeerUbBroadcasts);
+  Writer.writeU64(Stats.BoundEvals);
   return Writer.take();
 }
 
-/// The inverse of `encodeStats`. `BoundEvals` does not travel.
+/// The inverse of `encodeStats`.
 bool decodeStats(const std::vector<std::uint8_t> &Payload, BnbStats &Stats,
                  WorkerStats &Worker) {
   ByteReader Reader(Payload);
@@ -86,7 +87,8 @@ bool decodeStats(const std::vector<std::uint8_t> &Payload, BnbStats &Stats,
          Reader.readU64(Worker.UbUpdates) &&
          Reader.readU64(Worker.StolenFromPeers) &&
          Reader.readU64(Worker.DonatedToPeers) &&
-         Reader.readU64(Worker.PeerUbBroadcasts);
+         Reader.readU64(Worker.PeerUbBroadcasts) &&
+         Reader.readU64(Stats.BoundEvals);
 }
 
 } // namespace
@@ -376,6 +378,7 @@ MpMutResult mutk::runMpMaster(MpEndpoint &Self, const DistanceMatrix &M,
     Stats.Generated += S.Generated;
     Stats.PrunedByBound += S.PrunedByBound;
     Stats.PrunedByThreeThree += S.PrunedByThreeThree;
+    Stats.BoundEvals += S.BoundEvals;
     Result.Workers[static_cast<std::size_t>(Msg.Source - 1)] = W;
     ++StatsCollected;
   };

@@ -155,8 +155,7 @@ TEST(Differential, OneWorkerDfsDriversVisitTheSameNodes) {
       MpMutResult Mp = solveMutMessagePassing(M, 1, Options);
       const std::string Case =
           Name + (Mode == ThreeThreeMode::None ? " none" : " third");
-      auto expectSameNodes = [&](const char *Driver, const MutResult &R,
-                                 bool CheckBoundEvals) {
+      auto expectSameNodes = [&](const char *Driver, const MutResult &R) {
         SCOPED_TRACE(Case + " " + Driver);
         EXPECT_EQ(R.Cost, Seq.Cost);
         EXPECT_EQ(R.Stats.Branched, Seq.Stats.Branched);
@@ -164,14 +163,11 @@ TEST(Differential, OneWorkerDfsDriversVisitTheSameNodes) {
         EXPECT_EQ(R.Stats.PrunedByBound, Seq.Stats.PrunedByBound);
         EXPECT_EQ(R.Stats.PrunedByThreeThree, Seq.Stats.PrunedByThreeThree);
         EXPECT_EQ(R.Stats.UbUpdates, Seq.Stats.UbUpdates);
-        if (CheckBoundEvals) {
-          EXPECT_EQ(R.Stats.BoundEvals, Seq.Stats.BoundEvals);
-        }
+        EXPECT_EQ(R.Stats.BoundEvals, Seq.Stats.BoundEvals);
       };
-      expectSameNodes("threaded", Threaded, true);
-      expectSameNodes("sim", Sim, true);
-      // BoundEvals does not travel on the message-passing wire.
-      expectSameNodes("mp", Mp, false);
+      expectSameNodes("threaded", Threaded);
+      expectSameNodes("sim", Sim);
+      expectSameNodes("mp", Mp);
     }
   }
 }

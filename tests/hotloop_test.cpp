@@ -3,7 +3,9 @@
 // Regression tests for the hot-loop overhaul: the once-per-child cached
 // lower bound (BnbStats::BoundEvals), the 3-3-before-bound pruning
 // attribution, the per-solver TopologyArena, the bitmask maxmin fast
-// path and the threaded solver's deterministic stats aggregation.
+// path, the threaded solver's deterministic stats aggregation, and
+// child scoring (Topology::scoreInsertions) with branch() pruning on
+// scores exactly as if it built every child.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,16 +13,20 @@
 #include "bnb/BestFirstBnb.h"
 #include "bnb/Engine.h"
 #include "bnb/SequentialBnb.h"
+#include "bnb/ThreeThree.h"
 #include "bnb/Topology.h"
 #include "matrix/Generators.h"
 #include "matrix/MetricUtils.h"
 #include "parallel/ThreadedBnb.h"
 #include "seq/EvolutionSim.h"
+#include "support/Rng.h"
 #include "tree/Newick.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 using namespace mutk;
@@ -51,6 +57,7 @@ TEST(HotLoop, BranchEvaluatesBoundOncePerChild) {
   BnbEngine Engine(M, quietOptions());
   BnbStats Stats;
   std::vector<BranchedChild> Children;
+  BranchScratch Scratch;
   Topology T = Engine.rootTopology();
   // Walk a few levels; at every branching the bound must have run
   // exactly once per generated child, and each survivor must carry the
@@ -58,7 +65,8 @@ TEST(HotLoop, BranchEvaluatesBoundOncePerChild) {
   while (!Engine.isComplete(T)) {
     std::uint64_t GenBefore = Stats.Generated;
     std::uint64_t EvalBefore = Stats.BoundEvals;
-    Engine.branch(T, Engine.initialUpperBound() + 1.0, Stats, Children);
+    Engine.branch(T, Engine.initialUpperBound() + 1.0, Stats, Children,
+                  Scratch);
     EXPECT_EQ(Stats.BoundEvals - EvalBefore, Stats.Generated - GenBefore);
     ASSERT_FALSE(Children.empty());
     for (const BranchedChild &BC : Children)
@@ -105,7 +113,8 @@ TEST(HotLoop, CheapThreeThreeRunsBeforeBoundCheck) {
     BnbEngine Engine(M, Options);
     BnbStats Stats;
     std::vector<BranchedChild> Children;
-    Engine.branch(Engine.rootTopology(), 0.0, Stats, Children);
+    BranchScratch Scratch;
+    Engine.branch(Engine.rootTopology(), 0.0, Stats, Children, Scratch);
     EXPECT_TRUE(Children.empty());
     EXPECT_EQ(Stats.Generated, 3u);
     EXPECT_EQ(Stats.BoundEvals, 3u);
@@ -151,14 +160,16 @@ TEST(HotLoop, BranchWithArenaMatchesBranchWithout) {
   TopologyArena Arena(Engine.numSpecies());
   BnbStats StatsPlain, StatsArena;
   std::vector<BranchedChild> Plain, Pooled;
+  BranchScratch Scratch;
   Topology T = Engine.rootTopology();
   // Drive both variants down one best-first path; every level the
   // arena-backed expansion must produce byte-identical children, even
   // though its topologies reuse storage released at earlier levels.
   while (!Engine.isComplete(T)) {
-    Engine.branch(T, Engine.initialUpperBound() + 1.0, StatsPlain, Plain);
+    Engine.branch(T, Engine.initialUpperBound() + 1.0, StatsPlain, Plain,
+                  Scratch);
     Engine.branch(T, Engine.initialUpperBound() + 1.0, StatsArena, Pooled,
-                  &Arena);
+                  Scratch, &Arena);
     ASSERT_EQ(Plain.size(), Pooled.size());
     for (std::size_t I = 0; I < Plain.size(); ++I) {
       EXPECT_EQ(Plain[I].LowerBound, Pooled[I].LowerBound);
@@ -257,6 +268,168 @@ TEST(HotLoop, ThreadedBoundEvalInvariantHoldsUnderContention) {
         << "workers=" << Workers;
     EXPECT_GT(R.Stats.PrunedByThreeThree, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// S4: children are scored before they are built.
+// ---------------------------------------------------------------------------
+
+/// The matrix families the scoring tests draw from: the three generators,
+/// plus uniform distances quantized to 0.1 so that ties are everywhere.
+std::vector<DistanceMatrix> scoringMatrices(int N, std::uint64_t Seed) {
+  DistanceMatrix Tied = uniformRandomMetric(N, Seed, 1.0, 2.0);
+  for (int I = 0; I < N; ++I)
+    for (int J = I + 1; J < N; ++J)
+      Tied.set(I, J, std::round(Tied.at(I, J) * 10.0) / 10.0);
+  return {uniformRandomMetric(N, Seed), randomUltrametricMatrix(N, Seed),
+          plantedClusterMetric(N, Seed), Tied};
+}
+
+TEST(Topology, ScoredCostMatchesBuiltChild) {
+  std::vector<double> Costs, X;
+  for (int N : {8, 14, 20, 32, 64})
+    for (std::uint64_t Seed = 1; Seed <= 3; ++Seed)
+      for (const DistanceMatrix &M : scoringMatrices(N, Seed)) {
+        // Descend one random path, scoring every position on the way, so
+        // every depth from the root pair to n - 1 placed species is seen.
+        Rng Random(Seed);
+        Topology T = Topology::initialPair(M);
+        while (T.numPlaced() < N) {
+          T.scoreInsertions(M, Costs, X);
+          ASSERT_EQ(Costs.size(), static_cast<std::size_t>(T.numNodes()));
+          for (int Pos = 0; Pos < T.numNodes(); ++Pos) {
+            double Built = T.withNextSpeciesAt(Pos, M).cost();
+            EXPECT_LE(std::fabs(Costs[static_cast<std::size_t>(Pos)] - Built),
+                      1e-14 * Built)
+                << "n=" << N << " seed=" << Seed << " k=" << T.numPlaced()
+                << " position=" << Pos;
+          }
+          T = T.withNextSpeciesAt(
+              static_cast<int>(Random.nextBelow(
+                  static_cast<std::uint64_t>(T.numNodes()))),
+              M);
+        }
+      }
+}
+
+/// The rule `branch()` must reproduce, in the test only: build every
+/// child, then apply the 3-3 filter and the bound in the precedence
+/// documented on ThreeThreeMode, and sort the survivors the same way.
+void buildEveryChild(const BnbEngine &Engine, const Topology &T, double Ub,
+                     BnbStats &Stats, std::vector<BranchedChild> &Out) {
+  const BnbOptions &Opts = Engine.options();
+  const DistanceMatrix &M = Engine.relabeledMatrix();
+  auto allows = [&](const Topology &Child) {
+    int Inserted = Child.numPlaced() - 1;
+    if (Opts.ThreeThree == ThreeThreeMode::None ||
+        (Opts.ThreeThree == ThreeThreeMode::ThirdSpecies && Inserted != 2))
+      return true;
+    return insertionRespectsThreeThree(Child, M, Inserted);
+  };
+  const bool First = Opts.ThreeThree != ThreeThreeMode::AllInsertions;
+  Out.clear();
+  for (int Pos = 0; Pos < T.numNodes(); ++Pos) {
+    BranchedChild Child{T.withNextSpeciesAt(Pos, M), 0.0};
+    ++Stats.Generated;
+    Child.LowerBound = Engine.lowerBound(Child.Node);
+    ++Stats.BoundEvals;
+    if (First && !allows(Child.Node)) {
+      ++Stats.PrunedByThreeThree;
+    } else if (Child.LowerBound >= Ub - Opts.Epsilon &&
+               !(Opts.CollectAllOptimal &&
+                 Child.LowerBound <= Ub + Opts.Epsilon)) {
+      ++Stats.PrunedByBound;
+    } else if (!First && !allows(Child.Node)) {
+      ++Stats.PrunedByThreeThree;
+    } else {
+      Out.push_back(std::move(Child));
+    }
+  }
+  std::sort(Out.begin(), Out.end(),
+            [](const BranchedChild &A, const BranchedChild &B) {
+              return A.LowerBound < B.LowerBound;
+            });
+}
+
+bool sameNodes(const Topology &A, const Topology &B) {
+  if (A.numNodes() != B.numNodes() || A.rootIndex() != B.rootIndex() ||
+      A.cost() != B.cost())
+    return false;
+  for (int I = 0; I < A.numNodes(); ++I) {
+    const Topology::Node &X = A.node(I), &Y = B.node(I);
+    if (X.Parent != Y.Parent || X.Left != Y.Left || X.Right != Y.Right ||
+        X.Leaf != Y.Leaf || X.Mask != Y.Mask || X.Height != Y.Height)
+      return false;
+  }
+  return true;
+}
+
+TEST(HotLoop, BranchMatchesBuildingEveryChild) {
+  BranchScratch Scratch;
+  TopologyArena Arena(14);
+  std::vector<BranchedChild> Got, Want, All;
+  int Compared = 0;
+  for (std::uint64_t Seed = 1; Seed <= 2; ++Seed)
+    for (const DistanceMatrix &M : scoringMatrices(14, Seed))
+      for (ThreeThreeMode TT :
+           {ThreeThreeMode::None, ThreeThreeMode::ThirdSpecies,
+            ThreeThreeMode::AllInsertions})
+        for (bool CollectAll : {false, true}) {
+          BnbOptions Options = quietOptions(TT);
+          Options.CollectAllOptimal = CollectAll;
+          BnbEngine Engine(M, Options);
+          const double Eps = Options.Epsilon;
+          Rng Random(Seed);
+          Topology T = Engine.rootTopology();
+          while (!Engine.isComplete(T)) {
+            // Upper bounds on and around the children's own bounds, where
+            // the score alone cannot decide and the exact rule must.
+            BnbStats Unused;
+            buildEveryChild(Engine, T, std::numeric_limits<double>::infinity(),
+                            Unused, All);
+            std::vector<double> Ubs = {Engine.initialUpperBound(),
+                                       Engine.lowerBound(T) + 1e-3};
+            for (std::size_t I : {std::size_t{0}, All.size() / 2,
+                                  All.size() - 1}) {
+              if (I >= All.size())
+                continue;
+              const double Lb = All[I].LowerBound;
+              const double Margin = 1e-10 * (1.0 + Lb);
+              for (double Ub :
+                   {Lb, Lb - Eps, Lb + Eps, Lb - Margin, Lb + Margin,
+                    std::nextafter(Lb, 0.0), std::nextafter(Lb, 2.0 * Lb),
+                    std::nextafter(Lb - Eps, 0.0),
+                    std::nextafter(Lb + Eps, 2.0 * Lb)})
+                Ubs.push_back(Ub);
+            }
+            for (double Ub : Ubs) {
+              SCOPED_TRACE(testing::Message()
+                           << "seed=" << Seed << " k=" << T.numPlaced()
+                           << " ub=" << Ub << " collect=" << CollectAll);
+              BnbStats GotStats, WantStats;
+              Engine.branch(T, Ub, GotStats, Got, Scratch, &Arena);
+              buildEveryChild(Engine, T, Ub, WantStats, Want);
+              ASSERT_EQ(Got.size(), Want.size());
+              for (std::size_t I = 0; I < Got.size(); ++I) {
+                EXPECT_EQ(Got[I].LowerBound, Want[I].LowerBound);
+                EXPECT_TRUE(sameNodes(Got[I].Node, Want[I].Node));
+              }
+              EXPECT_EQ(GotStats.Generated, WantStats.Generated);
+              EXPECT_EQ(GotStats.BoundEvals, WantStats.BoundEvals);
+              EXPECT_EQ(GotStats.PrunedByBound, WantStats.PrunedByBound);
+              EXPECT_EQ(GotStats.PrunedByThreeThree,
+                        WantStats.PrunedByThreeThree);
+              for (BranchedChild &BC : Got)
+                Arena.release(std::move(BC.Node));
+              ++Compared;
+            }
+            if (All.empty())
+              break; // the 3-3 filter rejects every child of this path
+            T = All[static_cast<std::size_t>(Random.nextBelow(All.size()))]
+                    .Node;
+          }
+        }
+  EXPECT_GT(Compared, 1000);
 }
 
 } // namespace

@@ -627,10 +627,12 @@ TEST(QosService, CoalescesIdenticalInFlightRequests) {
   TreeService Service(Options);
 
   // Pin the single worker so the identical submissions below all join
-  // one in-flight flight instead of being solved one by one.
+  // one in-flight flight instead of being solved one by one. The pin
+  // must outlast a descheduled submitting thread on a loaded machine:
+  // this blocker keeps the worker busy for several milliseconds.
   BuildRequest Blocker;
-  Blocker.Matrix = narrowBandMatrix(18, 5);
-  Blocker.MaxExactBlockSize = 18;
+  Blocker.Matrix = narrowBandMatrix(20, 5);
+  Blocker.MaxExactBlockSize = 20;
   Blocker.NodeBudget = 400'000;
   Blocker.UseCache = false;
   std::future<BuildResponse> BlockerDone =
