@@ -184,12 +184,14 @@ void blockOverlapTable(std::vector<ResultRow> &Rows) {
           closedLoopRps(ColdService, Matrices, Clients, RequestsPerClient);
       ColdService.stop();
     }
+    // Counts are process totals; the row reports its own service's.
+    StatsSnapshot Before = Service.stats();
     // The warm-up pass sees each composition once: the first insertions
     // populate the block tier and later compositions already hit it.
     closedLoopRps(Service, Matrices, 1, NumMatrices);
     double WarmRps =
         closedLoopRps(Service, Matrices, Clients, RequestsPerClient);
-    StatsSnapshot S = Service.stats();
+    StatsSnapshot S = countsBetween(Before, Service.stats());
     std::printf("%8d %8d %8d | %12.0f %12.0f %7.1fx | %10llu %10llu\n",
                 NumSpecies, Clients, Options.NumWorkers, ColdRps, WarmRps,
                 WarmRps / ColdRps, static_cast<unsigned long long>(S.WholeHits),
@@ -247,6 +249,8 @@ QosRow adversarialRun(bool QosOn, int WarmClients, int WarmRequests,
   Options.NumWorkers = 2;
   Options.Qos.Enabled = QosOn;
   TreeService Service(Options);
+  // Counts are process totals; the row reports this service's.
+  StatsSnapshot Before = Service.stats();
 
   const int WarmSetSize = 8;
   const int WarmSpecies = 10;
@@ -323,7 +327,7 @@ QosRow adversarialRun(bool QosOn, int WarmClients, int WarmRequests,
   Row.WarmRequests = AllUs.size();
   Row.Warm = percentilesOf(AllUs);
   Row.WarmErrors = WarmErrors.load();
-  Row.Stats = Service.stats();
+  Row.Stats = countsBetween(Before, Service.stats());
   Service.stop();
   return Row;
 }
@@ -456,11 +460,13 @@ void printTable() {
                                 RequestsPerClient);
         ColdService.stop();
       }
+      // Counts are process totals; the row reports its own service's.
+      StatsSnapshot Before = Service.stats();
       // Warm-up pass fills the cache, then the measured warm pass.
       closedLoopRps(Service, Matrices, 1, NumMatrices);
       double WarmRps =
           closedLoopRps(Service, Matrices, Clients, RequestsPerClient);
-      StatsSnapshot S = Service.stats();
+      StatsSnapshot S = countsBetween(Before, Service.stats());
       std::printf("%8d %8d %8d | %12.0f %12.0f %7.1fx | %10llu %10llu\n",
                   NumSpecies, Clients, Options.NumWorkers, ColdRps, WarmRps,
                   WarmRps / ColdRps,

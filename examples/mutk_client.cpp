@@ -251,7 +251,7 @@ int main(int argc, char **argv) {
     if (Json) {
       // The StatsJson verb answers with the whole metrics registry —
       // queue, cache, request-latency and B&B counters — merged with
-      // the per-instance snapshot.
+      // the `Stats` process totals.
       std::optional<std::string> S = Client.statsJson(&Error);
       if (!S) {
         std::fprintf(stderr, "error: %s\n", Error.c_str());

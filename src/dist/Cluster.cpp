@@ -607,7 +607,7 @@ void ClusterNode::stealLoop() {
 
 void ClusterNode::stealOnce() {
   // Only a genuinely idle node steals: nothing queued and a worker free.
-  if (Service.stopping() || Service.stats().QueueDepth > 0 ||
+  if (Service.stopping() || Service.queueDepth() > 0 ||
       Service.inFlight() >=
           static_cast<std::uint64_t>(
               std::max(1, Service.options().NumWorkers)))

@@ -3,7 +3,6 @@
 #include "qos/CostModel.h"
 
 #include "graph/Hierarchy.h"
-#include "matrix/Fingerprint.h"
 #include "obs/Instruments.h"
 
 #include <algorithm>
@@ -79,8 +78,8 @@ DifficultyProfile CostModel::generatorProfile(int Species) {
   return P;
 }
 
-DifficultyProfile CostModel::profileFor(const DistanceMatrix &M) {
-  std::uint64_t Key = fingerprint(M);
+DifficultyProfile CostModel::profileFor(std::uint64_t Key,
+                                        const DistanceMatrix &M) {
   {
     MutexLock Lock(MemoMu);
     auto It = Memo.find(Key);
@@ -88,12 +87,10 @@ DifficultyProfile CostModel::profileFor(const DistanceMatrix &M) {
       // Refresh recency; a fingerprint collision at worst re-ranks a
       // request (the profile is advisory, never a correctness input).
       Recency.splice(Recency.begin(), Recency, It->second.Recency);
-      MemoHits.fetch_add(1, std::memory_order_relaxed);
       obs::qosInstruments().ProfileMemoHits.inc();
       return It->second.Profile;
     }
   }
-  DryRuns.fetch_add(1, std::memory_order_relaxed);
   obs::qosInstruments().ProfileDryRuns.inc();
   DifficultyProfile P = computeProfile(M);
   MutexLock Lock(MemoMu);

@@ -91,10 +91,11 @@ public:
   /// partition sizes. O(n^2 log n).
   static DifficultyProfile computeProfile(const DistanceMatrix &M);
 
-  /// Memoized `computeProfile`: keyed by the relabeling-invariant
-  /// canonical fingerprint, so resubmissions (and relabelings) of a
-  /// matrix never pay the dry run twice.
-  DifficultyProfile profileFor(const DistanceMatrix &M);
+  /// Memoized `computeProfile`: keyed by \p Key, the relabeling-invariant
+  /// canonical fingerprint of \p M (`CanonicalForm::Key`), so
+  /// resubmissions (and relabelings) of a matrix never pay the dry run
+  /// twice. Memo hits and dry runs are counted in the metrics registry.
+  DifficultyProfile profileFor(std::uint64_t Key, const DistanceMatrix &M);
 
   /// A profile for a server-side generated workload, where only the
   /// species count is known at admission time: one undecomposed block of
@@ -125,12 +126,6 @@ public:
   /// Current calibrated coefficient (milliseconds per search node).
   double millisPerNode() const;
 
-  /// \name Memo accounting (tested; also exported as metrics).
-  /// @{
-  std::uint64_t dryRuns() const { return DryRuns.load(std::memory_order_relaxed); }
-  std::uint64_t memoHits() const { return MemoHits.load(std::memory_order_relaxed); }
-  /// @}
-
   const CostModelOptions &options() const { return Options; }
 
 private:
@@ -140,8 +135,6 @@ private:
   /// hot-path read stays a relaxed atomic load (atomic<double> is not
   /// lock-free everywhere).
   std::atomic<std::uint64_t> NanosPerNodeQ16{0};
-  std::atomic<std::uint64_t> DryRuns{0};
-  std::atomic<std::uint64_t> MemoHits{0};
 
   struct MemoEntry {
     DifficultyProfile Profile;

@@ -18,7 +18,7 @@
 ///   * `Shutdown` — acknowledges, then the server stops accepting.
 ///   * `StatsJson`— answers with one JSON string: the full metrics
 ///                  registry (queue, cache, request-latency and B&B
-///                  counters) merged with the per-instance snapshot.
+///                  counters) merged with the `Stats` process totals.
 ///
 /// See `docs/service.md` for the byte-level layout and error-code
 /// semantics. Decoders never trust lengths: any truncated or oversized
@@ -230,9 +230,13 @@ struct BuildResponse {
   bool ok() const { return Error == ServiceError::None; }
 };
 
-/// Counter block answered to `Stats`.
+/// Counter block answered to `Stats`. The counts are process totals read
+/// from the metrics registry; queue depth, cache entries and the latency
+/// percentiles belong to the answering service.
 struct StatsSnapshot {
-  std::uint64_t Accepted = 0;  ///< Jobs admitted to the queue.
+  /// Jobs accepted: queued, coalesced onto an in-flight leader, or
+  /// re-enqueued from the journal at startup.
+  std::uint64_t Accepted = 0;
   std::uint64_t Completed = 0; ///< Jobs answered successfully.
   std::uint64_t Failed = 0;    ///< Jobs answered with an error.
   std::uint64_t WholeHits = 0;
@@ -241,14 +245,20 @@ struct StatsSnapshot {
   std::uint64_t BlockMisses = 0;
   /// Block subtrees served by a remote peer's cache shard.
   std::uint64_t BlockRemoteHits = 0;
-  /// Requests where incremental mode engaged (base matched thresholds).
+  /// Incremental requests whose diff matched a remembered base within
+  /// the thresholds, counted at the match whether or not the solve then
+  /// succeeded (`mutk_incremental_applied_total`).
   std::uint64_t IncrementalApplied = 0;
-  /// Blocks re-solved / replayed across all incremental requests.
+  /// Blocks re-solved / replayed across applied incremental requests
+  /// whose solve succeeded.
   std::uint64_t IncrementalDirty = 0;
   std::uint64_t IncrementalClean = 0;
   std::uint64_t DeadlineExpired = 0;
-  std::uint64_t Rejected = 0; ///< QueueFull + ShuttingDown rejections.
-  /// \name QoS counters (protocol v3; zero when QoS is off).
+  /// Jobs refused before a worker saw them: queue full, shutting down,
+  /// shed or rate limited.
+  std::uint64_t Rejected = 0;
+  /// \name QoS counters (protocol v3; zero unless a service in the
+  /// process runs with QoS on).
   /// @{
   std::uint64_t Shed = 0;        ///< Admission sheds (hopeless deadline).
   std::uint64_t RateLimited = 0; ///< Tenant token-bucket rejections.

@@ -77,12 +77,10 @@ ShardedLruCache::lookup(std::uint64_t Key,
   MutexLock Lock(S.Mu);
   auto It = S.Index.find(Key);
   if (It == S.Index.end() || It->second->second.Bytes != Bytes) {
-    Misses.fetch_add(1, std::memory_order_relaxed);
     noteMiss(S);
     return std::nullopt;
   }
   S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-  Hits.fetch_add(1, std::memory_order_relaxed);
   noteHit(S);
   MUTK_AUDIT(shardConsistent(S),
              "cache shard index/LRU desynchronized after lookup");
@@ -111,7 +109,6 @@ void ShardedLruCache::store(std::uint64_t Key, CachedSolution Value) {
   if (S.Lru.size() >= CapacityPerShard) {
     S.Index.erase(S.Lru.back().first);
     S.Lru.pop_back();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
     noteEviction(S);
   }
   S.Lru.emplace_front(Key, std::move(Value));

@@ -24,7 +24,6 @@
 #include "support/Mutex.h"
 #include "tree/PhyloTree.h"
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -73,7 +72,7 @@ public:
   /// own statistics.
   bool peek(std::uint64_t Key, const std::vector<std::uint8_t> &Bytes);
 
-  /// Drops every entry (counters are kept).
+  /// Drops every entry (the attached counters keep their totals).
   void clear();
 
   /// Copies out every entry, least-recently-used first (so replaying the
@@ -81,15 +80,13 @@ public:
   /// persistence layer to compact the cache into a snapshot file.
   std::vector<std::pair<std::uint64_t, CachedSolution>> entries() const;
 
-  /// Attaches registry counters: the aggregate hit/miss/eviction trio
-  /// plus one labeled trio per shard (`Shards.size()` entries expected;
-  /// extras ignored). Existing totals are not replayed.
+  /// Attaches the counters that record hits, misses and evictions: the
+  /// aggregate trio plus one labeled trio per shard (`Shards.size()`
+  /// entries expected; extras ignored). The cache keeps no counts of its
+  /// own, so events before attachment are not recorded anywhere.
   void setInstruments(const obs::CacheInstruments *Aggregate,
                       std::vector<obs::CacheShardInstruments> PerShard);
 
-  std::uint64_t hits() const { return Hits.load(); }
-  std::uint64_t misses() const { return Misses.load(); }
-  std::uint64_t evictions() const { return Evictions.load(); }
   std::size_t size() const;
 
 private:
@@ -118,9 +115,6 @@ private:
   const obs::CacheInstruments *Aggregate = nullptr;
   std::vector<obs::CacheShardInstruments> PerShard;
   std::size_t CapacityPerShard;
-  std::atomic<std::uint64_t> Hits{0};
-  std::atomic<std::uint64_t> Misses{0};
-  std::atomic<std::uint64_t> Evictions{0};
 };
 
 } // namespace mutk

@@ -214,7 +214,6 @@ void TreeService::recoverState() {
       Journal->completed(P.Id);
       continue;
     }
-    Counters.Accepted.fetch_add(1, std::memory_order_relaxed);
     Obs.Submitted.inc();
   }
   // Fresh ids must never collide with journaled ones.
@@ -275,7 +274,6 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
   std::future<BuildResponse> Future = J.Promise.get_future();
 
   auto reject = [&](ServiceError Error, std::string Message) {
-    Counters.Rejected.fetch_add(1, std::memory_order_relaxed);
     Obs.Rejected.inc();
     BuildResponse Resp;
     Resp.Error = Error;
@@ -294,36 +292,33 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
   }
 
   if (Options.Qos.Enabled) {
+    // One canonical form serves the warm peek, the profile memo key and
+    // the worker's cache probe.
+    if (J.Request.Generator == GeneratorKind::None)
+      J.Form = canonicalForm(J.Request.Matrix);
     // Warm requests — whole-matrix identity already cached — skip
     // admission entirely: answering them is O(replay) regardless of how
     // hard the matrix once was, and the advisory `peek` keeps the probe
     // from distorting cache statistics.
     bool Warm = false;
     bool CacheOn = Options.CacheCapacity > 0 && J.Request.UseCache;
-    if (J.Request.Generator == GeneratorKind::None && CacheOn &&
-        J.Request.Matrix.size() > 1) {
-      CanonicalForm Form = canonicalForm(J.Request.Matrix);
-      Warm = Cache.peek(wholeCacheKey(Form, J.Request),
-                        wholeCacheBytes(Form, J.Request));
-    }
+    if (J.Form && CacheOn && J.Request.Matrix.size() > 1)
+      Warm = Cache.peek(wholeCacheKey(*J.Form, J.Request),
+                        wholeCacheBytes(*J.Form, J.Request));
     if (!Warm) {
       qos::DifficultyProfile Profile =
-          J.Request.Generator == GeneratorKind::None
-              ? Cost.profileFor(J.Request.Matrix)
-              : qos::CostModel::generatorProfile(J.Request.GenSpecies);
+          J.Form ? Cost.profileFor(J.Form->Key, J.Request.Matrix)
+                 : qos::CostModel::generatorProfile(J.Request.GenSpecies);
       double RemainingMillis =
           J.Request.DeadlineMillis > 0
               ? static_cast<double>(J.Request.DeadlineMillis)
               : -1.0;
       qos::Verdict V = Admission.assess(J.Request, Profile, RemainingMillis);
       if (!V.Admit) {
-        if (V.Error == ServiceError::RateLimited) {
-          Counters.RateLimited.fetch_add(1, std::memory_order_relaxed);
+        if (V.Error == ServiceError::RateLimited)
           QosObs.RateLimited.inc();
-        } else {
-          Counters.Shed.fetch_add(1, std::memory_order_relaxed);
+        else
           QosObs.Shed.inc();
-        }
         // Echo the prediction that justified the rejection: the client
         // can tell a hopeless deadline apart from a drained bucket.
         J.PredictedMillis = V.PredictedMillis;
@@ -343,15 +338,12 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
     }
     switch (J.Tier) {
     case QosTier::Exact:
-      Counters.TierExact.fetch_add(1, std::memory_order_relaxed);
       QosObs.TierExact.inc();
       break;
     case QosTier::Pipeline:
-      Counters.TierPipeline.fetch_add(1, std::memory_order_relaxed);
       QosObs.TierPipeline.inc();
       break;
     case QosTier::Heuristic:
-      Counters.TierHeuristic.fetch_add(1, std::memory_order_relaxed);
       QosObs.TierHeuristic.inc();
       break;
     }
@@ -372,9 +364,7 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
       if (!A.Leader) {
         // Parked on the leader's flight: no queue slot, no journal
         // entry — the leader's resolve fans the response out.
-        Counters.Coalesced.fetch_add(1, std::memory_order_relaxed);
         QosObs.Coalesced.inc();
-        Counters.Accepted.fetch_add(1, std::memory_order_relaxed);
         Obs.Submitted.inc();
         return std::move(A.Follower);
       }
@@ -415,7 +405,6 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
     return Future;
   }
 
-  Counters.Accepted.fetch_add(1, std::memory_order_relaxed);
   Obs.Submitted.inc();
   return Future;
 }
@@ -447,9 +436,33 @@ Response TreeService::handle(const Request &R) {
 }
 
 StatsSnapshot TreeService::stats() const {
-  StatsSnapshot S = Counters.snapshot();
-  S.QueueDepth = Queue.depth();
+  const obs::BlockCacheInstruments &BC = obs::blockCacheInstruments();
+  const obs::IncrementalInstruments &Inc = obs::incrementalInstruments();
+  StatsSnapshot S;
+  S.Accepted = Obs.Submitted.value();
+  S.Completed = Obs.Completed.value();
+  S.Failed = Obs.Failed.value();
+  S.WholeHits = Obs.WholeHits.value();
+  S.WholeMisses = Obs.WholeMisses.value();
+  S.BlockHits = BC.Hits.value();
+  S.BlockMisses = BC.Misses.value();
+  S.BlockRemoteHits = BC.RemoteHits.value();
+  S.IncrementalApplied = Inc.Applied.value();
+  S.IncrementalDirty = Inc.DirtyBlocks.value();
+  S.IncrementalClean = Inc.CleanBlocks.value();
+  S.DeadlineExpired = Obs.DeadlineExpired.value();
+  S.Rejected = Obs.Rejected.value();
+  S.Shed = QosObs.Shed.value();
+  S.RateLimited = QosObs.RateLimited.value();
+  S.TierExact = QosObs.TierExact.value();
+  S.TierPipeline = QosObs.TierPipeline.value();
+  S.TierHeuristic = QosObs.TierHeuristic.value();
+  S.Coalesced = QosObs.Coalesced.value();
+  S.QueueDepth = queueDepth();
   S.CacheEntries = Cache.size();
+  obs::HistogramSnapshot L = Latency.snapshotMillis();
+  S.P50Millis = L.P50;
+  S.P95Millis = L.P95;
   return S;
 }
 
@@ -512,7 +525,6 @@ void TreeService::stop() {
   // one answered in the journal and fans the rejection out to any
   // followers coalesced onto it.
   for (Job &J : Queue.drain()) {
-    Counters.Rejected.fetch_add(1, std::memory_order_relaxed);
     Obs.Rejected.inc();
     BuildResponse Resp;
     Resp.Error = ServiceError::ShuttingDown;
@@ -527,7 +539,6 @@ void TreeService::stop() {
     Leftover.swap(Lent);
   }
   for (auto &[Token, J] : Leftover) {
-    Counters.Rejected.fetch_add(1, std::memory_order_relaxed);
     Obs.Rejected.inc();
     BuildResponse Resp;
     Resp.Error = ServiceError::ShuttingDown;
@@ -577,15 +588,13 @@ bool TreeService::completeLentJob(std::uint64_t Token,
       std::chrono::duration<double, std::milli>(Clock::now() - J.SubmitTime)
           .count();
   if (Response.ok()) {
-    Counters.Completed.fetch_add(1, std::memory_order_relaxed);
     Obs.Completed.inc();
     Obs.RequestOkMillis.record(TotalMillis);
   } else {
-    Counters.Failed.fetch_add(1, std::memory_order_relaxed);
     Obs.Failed.inc();
     Obs.RequestErrorMillis.record(TotalMillis);
   }
-  Counters.Latency.record(TotalMillis);
+  Latency.record(TotalMillis);
   // The thief solved the (possibly tier-clamped) request but knows
   // nothing of the QoS metadata; restore the echo before fan-out.
   Response.Tier = J.Tier;
@@ -616,7 +625,6 @@ bool TreeService::reenqueueLentJob(std::uint64_t Token) {
     // ShuttingDown for both, steering clients away from a live node.
     J.JournalId = JournalId;
     J.CoalesceKey = CoalesceKey;
-    Counters.Rejected.fetch_add(1, std::memory_order_relaxed);
     Obs.Rejected.inc();
     bool Closing = Queue.closed();
     BuildResponse Resp;
@@ -694,23 +702,21 @@ void TreeService::workerLoop() {
                              Clock::now() - J->SubmitTime)
                              .count();
     if (Resp.ok()) {
-      Counters.Completed.fetch_add(1, std::memory_order_relaxed);
       Obs.Completed.inc();
       Obs.RequestOkMillis.record(TotalMillis);
     } else {
-      Counters.Failed.fetch_add(1, std::memory_order_relaxed);
       Obs.Failed.inc();
       Obs.RequestErrorMillis.record(TotalMillis);
       obs::log(obs::LogLevel::Debug, "service", "job answered with error")
           .kv("error", serviceErrorName(Resp.Error))
           .kv("total_ms", TotalMillis);
     }
-    Counters.Latency.record(TotalMillis);
+    Latency.record(TotalMillis);
     resolveJob(std::move(*J), std::move(Resp));
   }
 }
 
-BuildResponse TreeService::process(const Job &J) {
+BuildResponse TreeService::process(Job &J) {
   const BuildRequest &Request = J.Request;
   Clock::time_point SubmitTime = J.SubmitTime;
   BuildResponse Resp;
@@ -731,7 +737,6 @@ BuildResponse TreeService::process(const Job &J) {
   Clock::time_point Deadline =
       SubmitTime + std::chrono::milliseconds(Request.DeadlineMillis);
   if (HasDeadline && Start >= Deadline) {
-    Counters.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
     Obs.DeadlineExpired.inc();
     return fail(ServiceError::DeadlineExpired,
                 "deadline elapsed while the job was queued");
@@ -785,11 +790,10 @@ BuildResponse TreeService::process(const Job &J) {
   bool CacheOn = Options.CacheCapacity > 0 && Request.UseCache;
   CanonicalForm Form;
   if (CacheOn) {
-    Form = canonicalForm(M);
+    Form = J.Form ? std::move(*J.Form) : canonicalForm(M);
     std::vector<std::uint8_t> Identity = wholeCacheBytes(Form, Request);
     std::uint64_t Key = wholeCacheKey(Form, Request);
     auto replay = [&](const CachedSolution &Hit) {
-      Counters.WholeHits.fetch_add(1, std::memory_order_relaxed);
       Obs.WholeHits.inc();
       PhyloTree Tree = relabelLeaves(Hit.Tree, Form.Perm);
       Tree.setNames(M.names());
@@ -817,7 +821,6 @@ BuildResponse TreeService::process(const Job &J) {
     };
     if (std::optional<CachedSolution> Hit = Cache.lookup(Key, Identity))
       return replay(*Hit);
-    Counters.WholeMisses.fetch_add(1, std::memory_order_relaxed);
     Obs.WholeMisses.inc();
     if (DistCache *Cluster = Remote.load(std::memory_order_acquire)) {
       if (std::optional<CachedSolution> Hit =
@@ -836,7 +839,6 @@ BuildResponse TreeService::process(const Job &J) {
   if (J.Tier == QosTier::Heuristic) {
     PhyloTree Tree = buildLinkageTree(M, Linkage::Maximum);
     if (HasDeadline && Clock::now() > Deadline) {
-      Counters.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
       Obs.DeadlineExpired.inc();
       return fail(ServiceError::DeadlineExpired,
                   "deadline elapsed during the heuristic solve");
@@ -888,11 +890,6 @@ BuildResponse TreeService::process(const Job &J) {
     Resp.TaxaAdded = BaseMatch->Delta.TaxaAdded;
     Resp.TaxaRemoved = BaseMatch->Delta.TaxaRemoved;
     Resp.EntriesChanged = BaseMatch->Delta.EntriesChanged;
-    Counters.IncrementalApplied.fetch_add(1, std::memory_order_relaxed);
-    Counters.IncrementalDirty.fetch_add(Resp.DirtyBlocks,
-                                        std::memory_order_relaxed);
-    Counters.IncrementalClean.fetch_add(Resp.CleanBlocks,
-                                        std::memory_order_relaxed);
     obs::IncrementalInstruments &Inc = obs::incrementalInstruments();
     Inc.DirtyBlocks.inc(Resp.DirtyBlocks);
     Inc.CleanBlocks.inc(Resp.CleanBlocks);
@@ -978,8 +975,6 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
             Hit = Cluster->lookup(Key, Bytes, CacheTier::Block);
             if (Hit) {
               BC.RemoteHits.inc();
-              Counters.BlockRemoteHits.fetch_add(1,
-                                                 std::memory_order_relaxed);
               // Adopt the peer's subtree so the next probe stays local.
               Cache.store(Key, *Hit);
             }
@@ -987,11 +982,9 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
         }
       }
       if (!Hit) {
-        Counters.BlockMisses.fetch_add(1, std::memory_order_relaxed);
         BC.Misses.inc();
         return std::nullopt;
       }
-      Counters.BlockHits.fetch_add(1, std::memory_order_relaxed);
       BC.Hits.inc();
       ++LocalBlockHits;
       BlockCacheEntry Entry;
@@ -1036,7 +1029,6 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
   PipelineResult Result = buildCompactSetTree(M, Pipeline);
 
   if (HasDeadline && Clock::now() > Deadline) {
-    Counters.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
     Obs.DeadlineExpired.inc();
     Resp.Error = ServiceError::DeadlineExpired;
     Resp.Message = "deadline elapsed during the solve";

@@ -23,6 +23,7 @@
 #define MUTK_SERVICE_SERVICE_H
 
 #include "compact/CompactSetPipeline.h"
+#include "matrix/Fingerprint.h"
 #include "obs/Instruments.h"
 #include "persist/CacheStore.h"
 #include "persist/JobJournal.h"
@@ -189,12 +190,15 @@ public:
   /// acted upon by the caller (the transport decides when to stop).
   Response handle(const Request &R);
 
-  /// Current counters (includes live queue depth and cache size).
+  /// Process totals of the service counters, read from the metrics
+  /// registry (every `TreeService` in the process adds to the same
+  /// totals), plus this instance's live queue depth, cache size and
+  /// latency percentiles.
   StatsSnapshot stats() const;
 
-  /// One JSON object merging this instance's snapshot with the
-  /// process-wide metrics registry (queue, cache, request-latency and
-  /// B&B counters). Answered to the `StatsJson` verb; schema in
+  /// One JSON object merging `stats()` with the process-wide metrics
+  /// registry (queue, cache, request-latency and B&B counters).
+  /// Answered to the `StatsJson` verb; schema in
   /// `docs/observability.md`.
   std::string statsJson() const;
 
@@ -249,6 +253,9 @@ public:
     return InFlightJobs.load(std::memory_order_relaxed);
   }
 
+  /// Jobs waiting for a worker (steal-idleness probe).
+  std::size_t queueDepth() const { return Queue.depth(); }
+
   /// @}
 
   /// Graceful shutdown: stops admissions, fails queued jobs with
@@ -278,6 +285,9 @@ private:
     /// Coalescing flight this job leads (0 = not coalesced); the
     /// response is fanned out to the flight's followers on resolve.
     std::uint64_t CoalesceKey = 0;
+    /// Canonical form of `Request.Matrix`, computed once at admission
+    /// when QoS is on; empty for generated, recovered or QoS-off jobs.
+    std::optional<CanonicalForm> Form;
   };
 
   void workerLoop();
@@ -289,7 +299,7 @@ private:
   /// resolves the leader's promise.
   void resolveJob(Job &&J, BuildResponse Resp);
   std::string checkpointPath(std::uint64_t Key) const;
-  BuildResponse process(const Job &J);
+  BuildResponse process(Job &J);
   BuildResponse solveFresh(const DistanceMatrix &M,
                            const BuildRequest &Request,
                            Clock::time_point Deadline, bool HasDeadline,
@@ -309,7 +319,8 @@ private:
   /// Solved-base index for incremental mode (null unless
   /// `Options.Incremental`). Internally locked.
   std::unique_ptr<IncrementalIndex> Bases;
-  ServiceCounters Counters;
+  /// End-to-end latency of every answered job, ok and error alike.
+  LatencyHistogram Latency;
   std::vector<std::thread> Workers;
   std::atomic<bool> Stopping{false};
   /// Serializes whole `stop()` runs; the outermost service lock

@@ -1,12 +1,13 @@
-//===- service/ServiceStats.h - Service counters & latency ------*- C++ -*-===//
+//===- service/ServiceStats.h - Service request latency ---------*- C++ -*-===//
 ///
 /// \file
-/// Lock-free counters for the tree-construction service, exposed through
-/// the `Stats` protocol verb. Latency percentiles come from an
-/// `obs::Histogram` recording microseconds (sub-millisecond requests
-/// keep their resolution): `record` is two relaxed atomic adds on the
-/// hot path, and p50/p95 are reconstructed from the power-of-two bucket
-/// counts — plenty for dashboards, free of allocation and locks.
+/// The microsecond-resolution latency record behind the `Stats` verb's
+/// p50/p95. The service's event counts are not kept here: `stats()`
+/// reads them from the metrics registry (`obs/Instruments.h`), so they
+/// are process totals. Latency stays per instance because the
+/// registry's millisecond histograms put every sub-millisecond request
+/// in bucket 0. `record` is two relaxed atomic adds on the hot path, and
+/// p50/p95 are reconstructed from the power-of-two bucket counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,9 +16,6 @@
 
 #include "obs/Metrics.h"
 #include "service/Protocol.h"
-
-#include <atomic>
-#include <cstdint>
 
 namespace mutk {
 
@@ -43,58 +41,33 @@ private:
   obs::Histogram H;
 };
 
-/// The service's monotonically increasing counters.
-struct ServiceCounters {
-  std::atomic<std::uint64_t> Accepted{0};
-  std::atomic<std::uint64_t> Completed{0};
-  std::atomic<std::uint64_t> Failed{0};
-  std::atomic<std::uint64_t> WholeHits{0};
-  std::atomic<std::uint64_t> WholeMisses{0};
-  std::atomic<std::uint64_t> BlockHits{0};
-  std::atomic<std::uint64_t> BlockMisses{0};
-  std::atomic<std::uint64_t> BlockRemoteHits{0};
-  std::atomic<std::uint64_t> IncrementalApplied{0};
-  std::atomic<std::uint64_t> IncrementalDirty{0};
-  std::atomic<std::uint64_t> IncrementalClean{0};
-  std::atomic<std::uint64_t> DeadlineExpired{0};
-  std::atomic<std::uint64_t> Rejected{0};
-  std::atomic<std::uint64_t> Shed{0};
-  std::atomic<std::uint64_t> RateLimited{0};
-  std::atomic<std::uint64_t> TierExact{0};
-  std::atomic<std::uint64_t> TierPipeline{0};
-  std::atomic<std::uint64_t> TierHeuristic{0};
-  std::atomic<std::uint64_t> Coalesced{0};
-  LatencyHistogram Latency;
-
-  /// Snapshot into the wire struct; queue depth and cache size are owned
-  /// by the service and filled by the caller.
-  StatsSnapshot snapshot() const {
-    StatsSnapshot S;
-    S.Accepted = Accepted.load(std::memory_order_relaxed);
-    S.Completed = Completed.load(std::memory_order_relaxed);
-    S.Failed = Failed.load(std::memory_order_relaxed);
-    S.WholeHits = WholeHits.load(std::memory_order_relaxed);
-    S.WholeMisses = WholeMisses.load(std::memory_order_relaxed);
-    S.BlockHits = BlockHits.load(std::memory_order_relaxed);
-    S.BlockMisses = BlockMisses.load(std::memory_order_relaxed);
-    S.BlockRemoteHits = BlockRemoteHits.load(std::memory_order_relaxed);
-    S.IncrementalApplied = IncrementalApplied.load(std::memory_order_relaxed);
-    S.IncrementalDirty = IncrementalDirty.load(std::memory_order_relaxed);
-    S.IncrementalClean = IncrementalClean.load(std::memory_order_relaxed);
-    S.DeadlineExpired = DeadlineExpired.load(std::memory_order_relaxed);
-    S.Rejected = Rejected.load(std::memory_order_relaxed);
-    S.Shed = Shed.load(std::memory_order_relaxed);
-    S.RateLimited = RateLimited.load(std::memory_order_relaxed);
-    S.TierExact = TierExact.load(std::memory_order_relaxed);
-    S.TierPipeline = TierPipeline.load(std::memory_order_relaxed);
-    S.TierHeuristic = TierHeuristic.load(std::memory_order_relaxed);
-    S.Coalesced = Coalesced.load(std::memory_order_relaxed);
-    obs::HistogramSnapshot L = Latency.snapshotMillis();
-    S.P50Millis = L.P50;
-    S.P95Millis = L.P95;
-    return S;
-  }
-};
+/// The counts that accrued between two `TreeService::stats()` reads:
+/// \p After's counters minus \p Before's. Since the counts are process
+/// totals, this is how a test or bench isolates one phase. Queue depth,
+/// cache entries and the percentiles are \p After's.
+inline StatsSnapshot countsBetween(const StatsSnapshot &Before,
+                                   StatsSnapshot After) {
+  After.Accepted -= Before.Accepted;
+  After.Completed -= Before.Completed;
+  After.Failed -= Before.Failed;
+  After.WholeHits -= Before.WholeHits;
+  After.WholeMisses -= Before.WholeMisses;
+  After.BlockHits -= Before.BlockHits;
+  After.BlockMisses -= Before.BlockMisses;
+  After.BlockRemoteHits -= Before.BlockRemoteHits;
+  After.IncrementalApplied -= Before.IncrementalApplied;
+  After.IncrementalDirty -= Before.IncrementalDirty;
+  After.IncrementalClean -= Before.IncrementalClean;
+  After.DeadlineExpired -= Before.DeadlineExpired;
+  After.Rejected -= Before.Rejected;
+  After.Shed -= Before.Shed;
+  After.RateLimited -= Before.RateLimited;
+  After.TierExact -= Before.TierExact;
+  After.TierPipeline -= Before.TierPipeline;
+  After.TierHeuristic -= Before.TierHeuristic;
+  After.Coalesced -= Before.Coalesced;
+  return After;
+}
 
 } // namespace mutk
 

@@ -219,6 +219,7 @@ TEST(BlockCache, SecondRequestReusesSharedModuleBlocks) {
   ServiceOptions Options;
   Options.NumWorkers = 1;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
   BuildResponse RespX = solveOn(Service, X);
   EXPECT_TRUE(RespX.Exact);
   EXPECT_EQ(RespX.BlockCacheHits, 0u);
@@ -228,7 +229,7 @@ TEST(BlockCache, SecondRequestReusesSharedModuleBlocks) {
   EXPECT_GE(RespY.BlockCacheHits, 1u);
   EXPECT_GE(RespY.CleanBlocks, 1u);
 
-  StatsSnapshot S = Service.stats();
+  StatsSnapshot S = countsBetween(Before, Service.stats());
   EXPECT_GE(S.BlockHits, 1u);
   EXPECT_GE(S.BlockMisses, 1u);
   Service.stop();
@@ -274,6 +275,7 @@ TEST(Incremental, PerturbedEntryResolvesOnlyTheDirtyModule) {
   Options.NumWorkers = 1;
   Options.Incremental = true;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
   // The cold base solve runs every block; its dirty count is the total
   // block count of this decomposition.
   BuildResponse BaseResp = solveOn(Service, Base);
@@ -290,7 +292,7 @@ TEST(Incremental, PerturbedEntryResolvesOnlyTheDirtyModule) {
   EXPECT_EQ(Resp.DirtyBlocks, 1u);
   EXPECT_EQ(Resp.CleanBlocks, TotalBlocks - 1);
 
-  StatsSnapshot S = Service.stats();
+  StatsSnapshot S = countsBetween(Before, Service.stats());
   EXPECT_EQ(S.IncrementalApplied, 1u);
   EXPECT_EQ(S.IncrementalDirty, 1u);
   EXPECT_EQ(S.IncrementalClean, TotalBlocks - 1);
@@ -382,13 +384,14 @@ TEST(Incremental, NoQualifyingBaseFallsBackToFullSolve) {
   Options.NumWorkers = 1;
   Options.Incremental = true;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
   solveOn(Service, Base);
 
   BuildResponse Resp = solveOn(Service, Unrelated, /*Incremental=*/true);
   EXPECT_TRUE(Resp.ok());
   EXPECT_FALSE(Resp.IncrementalApplied);
   EXPECT_TRUE(Resp.Exact);
-  EXPECT_EQ(Service.stats().IncrementalApplied, 0u);
+  EXPECT_EQ(countsBetween(Before, Service.stats()).IncrementalApplied, 0u);
   Service.stop();
 }
 

@@ -662,13 +662,14 @@ TEST(ServiceRecovery, DurableCacheServesHitsAcrossRestart) {
   }
   {
     TreeService Service(Options);
+    StatsSnapshot Before = Service.stats();
     BuildRequest Req;
     Req.Matrix = M;
     BuildResponse Resp = Service.submit(Req);
     ASSERT_TRUE(Resp.ok());
     EXPECT_TRUE(Resp.CacheHit);
     EXPECT_NEAR(Resp.Cost, Cost, 1e-9);
-    EXPECT_GE(Service.stats().WholeHits, 1u);
+    EXPECT_GE(countsBetween(Before, Service.stats()).WholeHits, 1u);
 
     // Relabeling-invariance survives the disk round trip too.
     std::vector<int> Perm(10);
@@ -703,14 +704,18 @@ TEST(ServiceRecovery, JournaledJobIsReRunAfterCrash) {
   Options.NumWorkers = 2;
   Options.StateDir = Dir.path();
   {
+    // Counts are process totals, and the constructor already re-enqueues
+    // the job: take the baseline before it runs.
+    const std::uint64_t CompletedBefore =
+        obs::serviceInstruments().Completed.value();
     TreeService Service(Options);
     // The recovered job runs in the background; wait for it to finish.
     auto Deadline = std::chrono::steady_clock::now() +
                     std::chrono::seconds(60);
-    while (Service.stats().Completed < 1 &&
+    while (Service.stats().Completed - CompletedBefore < 1 &&
            std::chrono::steady_clock::now() < Deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_GE(Service.stats().Completed, 1u);
+    EXPECT_GE(Service.stats().Completed - CompletedBefore, 1u);
     Service.stop();
   }
   {

@@ -71,6 +71,17 @@ DistanceMatrix narrowBandMatrix(int N, std::uint64_t Seed) {
   return bandMatrix(N, 99.0, 100.0, Seed);
 }
 
+/// `CostModel::profileFor` keyed the way the service keys it.
+DifficultyProfile profileOf(CostModel &Model, const DistanceMatrix &M) {
+  return Model.profileFor(fingerprint(M), M);
+}
+
+/// A callable returning how far registry counter \p C has moved since
+/// this call.
+auto incrementsOf(const obs::Counter &C) {
+  return [&C, Start = C.value()] { return C.value() - Start; };
+}
+
 /// \p M with its species relabeled by a deterministic permutation
 /// (reversal) — same canonical fingerprint, different byte layout.
 DistanceMatrix relabeled(const DistanceMatrix &M) {
@@ -158,38 +169,41 @@ TEST(QosCostModel, ProfileComputesDecompositionFeatures) {
 // relabeling-invariant fingerprint — resubmissions and relabelings of
 // one matrix pay for exactly one decomposition.
 TEST(QosCostModel, DryRunProfileIsMemoizedAcrossRelabelings) {
+  auto dryRuns = incrementsOf(obs::qosInstruments().ProfileDryRuns);
+  auto memoHits = incrementsOf(obs::qosInstruments().ProfileMemoHits);
   CostModel Model;
   DistanceMatrix M = bandMatrix(12, 5.0, 9.0, 21);
-  DifficultyProfile First = Model.profileFor(M);
-  EXPECT_EQ(Model.dryRuns(), 1u);
-  EXPECT_EQ(Model.memoHits(), 0u);
+  DifficultyProfile First = profileOf(Model, M);
+  EXPECT_EQ(dryRuns(), 1u);
+  EXPECT_EQ(memoHits(), 0u);
 
   for (int I = 0; I < 3; ++I)
-    (void)Model.profileFor(M);
-  DifficultyProfile Renamed = Model.profileFor(relabeled(M));
-  EXPECT_EQ(Model.dryRuns(), 1u) << "memoized matrix was re-decomposed";
-  EXPECT_EQ(Model.memoHits(), 4u);
+    (void)profileOf(Model, M);
+  DifficultyProfile Renamed = profileOf(Model, relabeled(M));
+  EXPECT_EQ(dryRuns(), 1u) << "memoized matrix was re-decomposed";
+  EXPECT_EQ(memoHits(), 4u);
   EXPECT_EQ(Renamed.Species, First.Species);
   EXPECT_EQ(Renamed.MaxBlock, First.MaxBlock);
 
   // A genuinely different matrix still pays its own dry run.
-  (void)Model.profileFor(bandMatrix(12, 5.0, 9.0, 22));
-  EXPECT_EQ(Model.dryRuns(), 2u);
+  (void)profileOf(Model, bandMatrix(12, 5.0, 9.0, 22));
+  EXPECT_EQ(dryRuns(), 2u);
 }
 
 TEST(QosCostModel, MemoEvictsLeastRecentlyUsed) {
   CostModelOptions Options;
   Options.MemoCapacity = 2;
   CostModel Model(Options);
+  auto dryRuns = incrementsOf(obs::qosInstruments().ProfileDryRuns);
   DistanceMatrix A = bandMatrix(8, 5.0, 9.0, 1);
   DistanceMatrix B = bandMatrix(8, 5.0, 9.0, 2);
   DistanceMatrix C = bandMatrix(8, 5.0, 9.0, 3);
-  (void)Model.profileFor(A);
-  (void)Model.profileFor(B);
-  (void)Model.profileFor(C); // evicts A
-  EXPECT_EQ(Model.dryRuns(), 3u);
-  (void)Model.profileFor(A); // must re-decompose
-  EXPECT_EQ(Model.dryRuns(), 4u);
+  (void)profileOf(Model, A);
+  (void)profileOf(Model, B);
+  (void)profileOf(Model, C); // evicts A
+  EXPECT_EQ(dryRuns(), 3u);
+  (void)profileOf(Model, A); // must re-decompose
+  EXPECT_EQ(dryRuns(), 4u);
 }
 
 TEST(QosCostModel, CalibrationConvergesTowardObservedCost) {
@@ -447,6 +461,7 @@ TEST(QosService, ExactTierIsByteIdenticalToNonQosPath) {
   DistanceMatrix M = bandMatrix(14, 50.0, 95.0, 11);
 
   TreeService Plain;
+  StatsSnapshot Before = Plain.stats();
   BuildRequest R1;
   R1.Matrix = M;
   BuildResponse Baseline = Plain.submit(std::move(R1));
@@ -467,7 +482,7 @@ TEST(QosService, ExactTierIsByteIdenticalToNonQosPath) {
   EXPECT_EQ(Routed.Newick, Baseline.Newick);
   EXPECT_EQ(Routed.Cost, Baseline.Cost);
   EXPECT_EQ(Routed.Exact, Baseline.Exact);
-  EXPECT_EQ(Qos.stats().TierExact, 1u);
+  EXPECT_EQ(countsBetween(Before, Qos.stats()).TierExact, 1u);
 }
 
 // A deadline the exact solve cannot meet — but one agglomerative pass
@@ -479,6 +494,7 @@ TEST(QosService, HeuristicTierAnswersHopelessExactDeadlines) {
   // the only choice below exact is the heuristic pass.
   Options.Qos.DegradedMaxExactBlockSize = 20;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
 
   DistanceMatrix M = narrowBandMatrix(20, 7);
   // Pick a deadline between the model's two predictions with a wide
@@ -508,7 +524,7 @@ TEST(QosService, HeuristicTierAnswersHopelessExactDeadlines) {
   std::optional<PhyloTree> Tree = parseNewick(Resp.Newick);
   ASSERT_TRUE(Tree.has_value());
   EXPECT_EQ(Tree->numLeaves(), 20);
-  EXPECT_EQ(Service.stats().TierHeuristic, 1u);
+  EXPECT_EQ(countsBetween(Before, Service.stats()).TierHeuristic, 1u);
 }
 
 TEST(QosService, ShedsWhenNotEvenTheHeuristicFits) {
@@ -518,6 +534,7 @@ TEST(QosService, ShedsWhenNotEvenTheHeuristicFits) {
   // fits a 1 ms deadline.
   Options.Qos.FitMargin = 1e7;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
 
   BuildRequest R;
   R.Matrix = narrowBandMatrix(16, 2);
@@ -527,8 +544,9 @@ TEST(QosService, ShedsWhenNotEvenTheHeuristicFits) {
   EXPECT_EQ(Resp.Error, ServiceError::Shed);
   EXPECT_FALSE(Resp.Message.empty());
   EXPECT_GT(Resp.PredictedMillis, 0.0);
-  EXPECT_EQ(Service.stats().Shed, 1u);
-  EXPECT_EQ(Service.stats().Accepted, 0u) << "a shed job was never queued";
+  StatsSnapshot S = countsBetween(Before, Service.stats());
+  EXPECT_EQ(S.Shed, 1u);
+  EXPECT_EQ(S.Accepted, 0u) << "a shed job was never queued";
 
   // The same matrix without a deadline still solves fully.
   BuildRequest Retry;
@@ -544,6 +562,7 @@ TEST(QosService, RateLimitedTenantGetsItsOwnErrorCode) {
   Options.Qos.TenantBurst = 2.0;
   Options.QosCoalesce = false; // distinct error paths, not fan-out
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
 
   for (int I = 0; I < 2; ++I) {
     BuildRequest R;
@@ -556,7 +575,7 @@ TEST(QosService, RateLimitedTenantGetsItsOwnErrorCode) {
   Over.Tenant = "chatty";
   BuildResponse Resp = Service.submit(std::move(Over));
   EXPECT_EQ(Resp.Error, ServiceError::RateLimited);
-  EXPECT_GE(Service.stats().RateLimited, 1u);
+  EXPECT_GE(countsBetween(Before, Service.stats()).RateLimited, 1u);
 }
 
 // Regression (overload vs shutdown): the two rejection reasons carry
@@ -625,6 +644,7 @@ TEST(QosService, CoalescesIdenticalInFlightRequests) {
   Options.NumWorkers = 1;
   Options.Qos.Enabled = true;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
 
   // Pin the single worker so the identical submissions below all join
   // one in-flight flight instead of being solved one by one. The pin
@@ -661,10 +681,11 @@ TEST(QosService, CoalescesIdenticalInFlightRequests) {
     FannedOut += R.Coalesced ? 1 : 0;
   }
   EXPECT_EQ(FannedOut, 5) << "one leader, five coalesced followers";
-  EXPECT_EQ(Service.stats().Coalesced, 5u);
+  StatsSnapshot S = countsBetween(Before, Service.stats());
+  EXPECT_EQ(S.Coalesced, 5u);
   // Followers never occupied a queue slot or ran a solve: the solver
   // answered the leader once (the cache saw at most that one insert).
-  EXPECT_EQ(Service.stats().Completed, 2u) << "blocker + leader only";
+  EXPECT_EQ(S.Completed, 2u) << "blocker + leader only";
 }
 
 // Satellite: coalesced fan-out under concurrent submit and shutdown.

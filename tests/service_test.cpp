@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -207,13 +208,16 @@ CachedSolution solutionWithCost(double Cost,
 
 TEST(ShardedLruCache, StoreAndLookup) {
   ShardedLruCache Cache(16, 4);
+  obs::Counter Hits, Misses, Evictions;
+  obs::CacheInstruments Counts{Hits, Misses, Evictions};
+  Cache.setInstruments(&Counts, {});
   Cache.store(7, solutionWithCost(1.5, {1, 2, 3}));
   auto Hit = Cache.lookup(7, {1, 2, 3});
   ASSERT_TRUE(Hit.has_value());
   EXPECT_DOUBLE_EQ(Hit->Cost, 1.5);
   EXPECT_FALSE(Cache.lookup(8, {1, 2, 3}).has_value());
-  EXPECT_EQ(Cache.hits(), 1u);
-  EXPECT_EQ(Cache.misses(), 1u);
+  EXPECT_EQ(Hits.value(), 1u);
+  EXPECT_EQ(Misses.value(), 1u);
 }
 
 TEST(ShardedLruCache, HashCollisionIsAMissNotAWrongTree) {
@@ -225,6 +229,9 @@ TEST(ShardedLruCache, HashCollisionIsAMissNotAWrongTree) {
 
 TEST(ShardedLruCache, EvictsLeastRecentlyUsed) {
   ShardedLruCache Cache(2, 1); // single shard, two entries
+  obs::Counter Hits, Misses, Evictions;
+  obs::CacheInstruments Counts{Hits, Misses, Evictions};
+  Cache.setInstruments(&Counts, {});
   Cache.store(1, solutionWithCost(1, {1}));
   Cache.store(2, solutionWithCost(2, {2}));
   ASSERT_TRUE(Cache.lookup(1, {1}).has_value()); // 1 now most recent
@@ -232,7 +239,7 @@ TEST(ShardedLruCache, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(Cache.lookup(1, {1}).has_value());
   EXPECT_FALSE(Cache.lookup(2, {2}).has_value());
   EXPECT_TRUE(Cache.lookup(3, {3}).has_value());
-  EXPECT_EQ(Cache.evictions(), 1u);
+  EXPECT_EQ(Evictions.value(), 1u);
   EXPECT_EQ(Cache.size(), 2u);
 }
 
@@ -463,6 +470,7 @@ TEST(TreeService, ConcurrentClientsMatchDirectPipeline) {
   ServiceOptions Options;
   Options.NumWorkers = 4;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
 
   // 4 client threads, each submitting every matrix several times in a
   // different order: exercises queue, workers and cache concurrently.
@@ -495,7 +503,7 @@ TEST(TreeService, ConcurrentClientsMatchDirectPipeline) {
     EXPECT_TRUE(Failures[C].empty())
         << "client " << C << ": " << Failures[C].front();
 
-  StatsSnapshot S = Service.stats();
+  StatsSnapshot S = countsBetween(Before, Service.stats());
   EXPECT_EQ(S.Accepted, static_cast<std::uint64_t>(NumClients) * Rounds * 3);
   EXPECT_EQ(S.Completed, S.Accepted);
   EXPECT_EQ(S.Failed, 0u);
@@ -509,6 +517,7 @@ TEST(TreeService, RelabeledDuplicateHitsWholeCache) {
   ServiceOptions Options;
   Options.NumWorkers = 2;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
 
   BuildRequest First;
   First.Matrix = M;
@@ -536,7 +545,7 @@ TEST(TreeService, RelabeledDuplicateHitsWholeCache) {
   ASSERT_TRUE(Replayed.has_value());
   EXPECT_EQ(Replayed->numLeaves(), 12);
 
-  StatsSnapshot S = Service.stats();
+  StatsSnapshot S = countsBetween(Before, Service.stats());
   EXPECT_EQ(S.WholeHits, 1u);
   EXPECT_EQ(S.WholeMisses, 1u);
 }
@@ -610,6 +619,7 @@ TEST(TreeService, DeadlineExpiredIsAStructuredError) {
   ServiceOptions Options;
   Options.NumWorkers = 1;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
 
   BuildRequest Blocker;
   Blocker.Matrix = narrowBandMatrix(20, 3);
@@ -623,7 +633,7 @@ TEST(TreeService, DeadlineExpiredIsAStructuredError) {
   // while the blocker is still *queued* would be popped first and solved
   // in time. Wait until the worker has dequeued the blocker — only then
   // does the doomed request actually sit behind a busy worker.
-  while (Service.stats().QueueDepth > 0)
+  while (Service.queueDepth() > 0)
     std::this_thread::yield();
 
   BuildRequest Doomed;
@@ -637,7 +647,7 @@ TEST(TreeService, DeadlineExpiredIsAStructuredError) {
   BuildResponse DoomedResp = DoomedDone.get();
   EXPECT_EQ(DoomedResp.Error, ServiceError::DeadlineExpired);
   EXPECT_FALSE(DoomedResp.Message.empty());
-  EXPECT_GE(Service.stats().DeadlineExpired, 1u);
+  EXPECT_GE(countsBetween(Before, Service.stats()).DeadlineExpired, 1u);
 }
 
 TEST(TreeService, DeadlineCapsNodeBudget) {
@@ -693,6 +703,7 @@ TEST(TreeService, CleanShutdownWithJobsInFlight) {
 
 TEST(TreeService, HandleDispatchesProtocolVerbs) {
   TreeService Service;
+  StatsSnapshot Before = Service.stats();
   Request Ping;
   Ping.V = Verb::Ping;
   EXPECT_TRUE(Service.handle(Ping).ok());
@@ -714,7 +725,171 @@ TEST(TreeService, HandleDispatchesProtocolVerbs) {
   Stats.V = Verb::Stats;
   Response StatsResp = Service.handle(Stats);
   ASSERT_TRUE(StatsResp.ok());
-  EXPECT_EQ(StatsResp.Stats.Accepted, 1u);
+  EXPECT_EQ(countsBetween(Before, StatsResp.Stats).Accepted, 1u);
+}
+
+// `stats()` reads every count from the registry counter of the same
+// event. Over one run that produces each kind of event, the snapshot's
+// deltas equal the registry's, and the `"service"` object of
+// `statsJson()` carries the snapshot's numbers.
+TEST(ServiceStats, SnapshotMatchesRegistry) {
+  obs::ServiceInstruments &Svc = obs::serviceInstruments();
+  obs::BlockCacheInstruments &Block = obs::blockCacheInstruments();
+  obs::IncrementalInstruments &Inc = obs::incrementalInstruments();
+  obs::QosInstruments &Qos = obs::qosInstruments();
+  struct Field {
+    const char *JsonKey;
+    std::uint64_t StatsSnapshot::*Count;
+    const obs::Counter &Registry;
+  };
+  const Field Fields[] = {
+      {"accepted", &StatsSnapshot::Accepted, Svc.Submitted},
+      {"completed", &StatsSnapshot::Completed, Svc.Completed},
+      {"failed", &StatsSnapshot::Failed, Svc.Failed},
+      {"whole_hits", &StatsSnapshot::WholeHits, Svc.WholeHits},
+      {"whole_misses", &StatsSnapshot::WholeMisses, Svc.WholeMisses},
+      {"block_hits", &StatsSnapshot::BlockHits, Block.Hits},
+      {"block_misses", &StatsSnapshot::BlockMisses, Block.Misses},
+      {"block_remote_hits", &StatsSnapshot::BlockRemoteHits,
+       Block.RemoteHits},
+      {"incremental_applied", &StatsSnapshot::IncrementalApplied,
+       Inc.Applied},
+      {"incremental_dirty", &StatsSnapshot::IncrementalDirty,
+       Inc.DirtyBlocks},
+      {"incremental_clean", &StatsSnapshot::IncrementalClean,
+       Inc.CleanBlocks},
+      {"deadline_expired", &StatsSnapshot::DeadlineExpired,
+       Svc.DeadlineExpired},
+      {"rejected", &StatsSnapshot::Rejected, Svc.Rejected},
+      {"shed", &StatsSnapshot::Shed, Qos.Shed},
+      {"rate_limited", &StatsSnapshot::RateLimited, Qos.RateLimited},
+      {"tier_exact", &StatsSnapshot::TierExact, Qos.TierExact},
+      {"tier_pipeline", &StatsSnapshot::TierPipeline, Qos.TierPipeline},
+      {"tier_heuristic", &StatsSnapshot::TierHeuristic, Qos.TierHeuristic},
+      {"coalesced", &StatsSnapshot::Coalesced, Qos.Coalesced}};
+  auto registryCounts = [&] {
+    std::vector<std::uint64_t> Out;
+    for (const Field &F : Fields)
+      Out.push_back(F.Registry.value());
+    return Out;
+  };
+
+  ServiceOptions Options;
+  Options.NumWorkers = 1;
+  Options.QueueCapacity = 2;
+  Options.BlockOnFullQueue = false;
+  Options.Incremental = true;
+  Options.Qos.Enabled = true;
+  // Every request gets a tenant of its own, so only the deliberate
+  // repeat below drains a one-token bucket.
+  Options.Qos.TenantRatePerSec = 1e-6;
+  Options.Qos.TenantBurst = 1.0;
+  TreeService Service(Options);
+  std::vector<std::uint64_t> RegistryBefore = registryCounts();
+  StatsSnapshot Before = Service.stats();
+
+  int NextTenant = 0;
+  auto request = [&](DistanceMatrix M) {
+    BuildRequest R;
+    R.Matrix = std::move(M);
+    R.Tenant = "tenant" + std::to_string(NextTenant++);
+    return R;
+  };
+
+  // Shed first, while the cost model still has its default calibration:
+  // not even one agglomerative pass over 96 taxa fits 1 ms.
+  BuildRequest Hopeless;
+  Hopeless.Generator = GeneratorKind::Uniform;
+  Hopeless.GenSpecies = 96;
+  Hopeless.DeadlineMillis = 1;
+  EXPECT_EQ(Service.submit(std::move(Hopeless)).Error, ServiceError::Shed);
+
+  DistanceMatrix Base = plantedClusterMetric(16, 3);
+  BuildRequest First = request(Base);
+  First.Tenant = "chatty";
+  BuildResponse Cold = Service.submit(std::move(First));
+  ASSERT_TRUE(Cold.ok()) << Cold.Message;
+  ASSERT_TRUE(Cold.Exact);
+  // Events of different kinds happen different numbers of times, so a
+  // field reading the wrong counter shows up as a wrong number.
+  for (std::uint64_t Seed = 5; Seed < 7; ++Seed) {
+    BuildRequest Drained = request(uniformRandomMetric(8, Seed));
+    Drained.Tenant = "chatty";
+    EXPECT_EQ(Service.submit(std::move(Drained)).Error,
+              ServiceError::RateLimited);
+  }
+  for (int I = 0; I < 3; ++I)
+    EXPECT_TRUE(Service.submit(request(Base)).CacheHit);
+
+  DistanceMatrix Perturbed = Base;
+  Perturbed.set(0, 1, Base.at(0, 1) * 1.2);
+  BuildRequest Incremental = request(Perturbed);
+  Incremental.Incremental = true;
+  BuildResponse Reused = Service.submit(std::move(Incremental));
+  ASSERT_TRUE(Reused.ok()) << Reused.Message;
+  EXPECT_TRUE(Reused.IncrementalApplied);
+  EXPECT_GE(Reused.DirtyBlocks, 1u);
+  EXPECT_GE(Reused.BlockCacheHits, 1u);
+
+  // Pin the single worker, then queue behind it: a coalesced pair, a job
+  // whose deadline lapses while it waits, and one job too many.
+  BuildRequest Blocker = request(narrowBandMatrix(20, 3));
+  Blocker.MaxExactBlockSize = 20;
+  Blocker.NodeBudget = 400'000;
+  Blocker.UseCache = false;
+  std::future<BuildResponse> BlockerDone =
+      Service.submitAsync(std::move(Blocker));
+  while (Service.queueDepth() > 0)
+    std::this_thread::yield();
+  DistanceMatrix Shared = uniformRandomMetric(10, 21);
+  std::future<BuildResponse> Leader = Service.submitAsync(request(Shared));
+  std::future<BuildResponse> Follower = Service.submitAsync(request(Shared));
+  BuildRequest Doomed = request(uniformRandomMetric(3, 2));
+  Doomed.DeadlineMillis = 10;
+  std::future<BuildResponse> DoomedDone =
+      Service.submitAsync(std::move(Doomed));
+  EXPECT_EQ(Service.submit(request(uniformRandomMetric(8, 9))).Error,
+            ServiceError::QueueFull);
+  BuildResponse BlockerResp = BlockerDone.get();
+  EXPECT_TRUE(BlockerResp.ok()) << BlockerResp.Message;
+  EXPECT_TRUE(Leader.get().ok());
+  EXPECT_TRUE(Follower.get().Coalesced);
+  EXPECT_EQ(DoomedDone.get().Error, ServiceError::DeadlineExpired)
+      << "the blocker ran " << BlockerResp.SolveMillis << " ms";
+
+  StatsSnapshot After = Service.stats();
+  std::string Json = Service.statsJson();
+  std::vector<std::uint64_t> RegistryAfter = registryCounts();
+
+  StatsSnapshot Delta = countsBetween(Before, After);
+  for (std::size_t I = 0; I < std::size(Fields); ++I)
+    EXPECT_EQ(Delta.*Fields[I].Count, RegistryAfter[I] - RegistryBefore[I])
+        << Fields[I].JsonKey;
+
+  // What the sequence above did, event by event.
+  EXPECT_EQ(Delta.Shed, 1u);
+  EXPECT_EQ(Delta.RateLimited, 2u);
+  EXPECT_EQ(Delta.Rejected, 4u) << "shed, 2 rate limited, queue full";
+  EXPECT_EQ(Delta.WholeHits, 3u);
+  EXPECT_GE(Delta.BlockHits, 1u);
+  EXPECT_EQ(Delta.IncrementalApplied, 1u);
+  EXPECT_EQ(Delta.IncrementalDirty, Reused.DirtyBlocks);
+  EXPECT_EQ(Delta.IncrementalClean, Reused.CleanBlocks);
+  EXPECT_EQ(Delta.Coalesced, 1u);
+  EXPECT_EQ(Delta.DeadlineExpired, 1u);
+  EXPECT_EQ(Delta.Accepted, 9u) << "the coalesced follower counts as accepted";
+  EXPECT_EQ(Delta.Completed, 7u);
+  EXPECT_EQ(Delta.Failed, 1u);
+
+  std::string Section = Json.substr(0, Json.find('}'));
+  for (const Field &F : Fields) {
+    std::string Needle = std::string("\"") + F.JsonKey + "\":";
+    std::size_t At = Section.find(Needle);
+    ASSERT_NE(At, std::string::npos) << F.JsonKey;
+    EXPECT_EQ(std::stoull(Section.substr(At + Needle.size())), After.*F.Count)
+        << F.JsonKey;
+  }
+  Service.stop();
 }
 
 //===----------------------------------------------------------------------===//
@@ -725,6 +900,7 @@ TEST(SocketServer, UnixSocketEndToEnd) {
   ServiceOptions Options;
   Options.NumWorkers = 2;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
   SocketServer Server(Service);
   std::string Path = testing::TempDir() + "mutk_service_test.sock";
   std::string Error;
@@ -747,7 +923,7 @@ TEST(SocketServer, UnixSocketEndToEnd) {
 
   std::optional<StatsSnapshot> S = Client.stats(&Error);
   ASSERT_TRUE(S.has_value()) << Error;
-  EXPECT_GE(S->Accepted, 1u);
+  EXPECT_GE(countsBetween(Before, *S).Accepted, 1u);
 
   EXPECT_TRUE(Client.shutdownServer(&Error)) << Error;
   Server.waitForShutdown();

@@ -113,6 +113,9 @@ TEST(StressThreadedBnb, BudgetCancellationUnderOversubscription) {
 // operation mixes hits, misses, inserts and evictions across shards.
 TEST(StressResultCache, HitInsertEvictStorm) {
   ShardedLruCache Cache(16, 4);
+  obs::Counter Hits, Misses, Evictions;
+  obs::CacheInstruments Counts{Hits, Misses, Evictions};
+  Cache.setInstruments(&Counts, {});
   constexpr int NumThreads = 8;
   constexpr int OpsPerThread = 2000;
   std::atomic<std::uint64_t> ObservedHits{0};
@@ -138,9 +141,9 @@ TEST(StressResultCache, HitInsertEvictStorm) {
   for (std::thread &T : Threads)
     T.join();
 
-  EXPECT_EQ(ObservedHits.load(), Cache.hits());
+  EXPECT_EQ(ObservedHits.load(), Hits.value());
   EXPECT_LE(Cache.size(), 16u);
-  EXPECT_GT(Cache.evictions(), 0u);
+  EXPECT_GT(Evictions.value(), 0u);
 }
 
 // Eviction racing lookups on the *same shard*: one shard, capacity two,
@@ -148,6 +151,9 @@ TEST(StressResultCache, HitInsertEvictStorm) {
 // (Runs under both the ASan `service` label and the TSan `tsan` label.)
 TEST(StressResultCache, EvictionRacesLookupOnOneShard) {
   ShardedLruCache Cache(2, 1);
+  obs::Counter Hits, Misses, Evictions;
+  obs::CacheInstruments Counts{Hits, Misses, Evictions};
+  Cache.setInstruments(&Counts, {});
   constexpr int NumThreads = 8;
   constexpr int OpsPerThread = 1500;
 
@@ -173,7 +179,7 @@ TEST(StressResultCache, EvictionRacesLookupOnOneShard) {
     T.join();
 
   EXPECT_LE(Cache.size(), 2u);
-  EXPECT_EQ(Cache.hits() + Cache.misses(),
+  EXPECT_EQ(Hits.value() + Misses.value(),
             static_cast<std::uint64_t>(NumThreads) * OpsPerThread * 2 / 3);
 }
 
@@ -305,6 +311,7 @@ TEST(StressService, ShutdownWhileSubmitting) {
   Options.QueueCapacity = 8;
   Options.BlockOnFullQueue = false; // shed load instead of blocking
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
 
   std::atomic<int> Answered{0};
   std::vector<std::thread> Submitters;
@@ -333,7 +340,7 @@ TEST(StressService, ShutdownWhileSubmitting) {
   EXPECT_EQ(160, Answered.load());
   // Every accepted job was answered: solved, failed, or drained at stop
   // (drained jobs are counted under Rejected).
-  StatsSnapshot Stats = Service.stats();
+  StatsSnapshot Stats = countsBetween(Before, Service.stats());
   EXPECT_GE(Stats.Accepted, Stats.Completed + Stats.Failed);
   EXPECT_LE(Stats.Accepted - Stats.Completed - Stats.Failed,
             Stats.Rejected);
@@ -348,6 +355,7 @@ TEST(StressService, ConcurrentCacheHitsAndSolves) {
   Options.CacheCapacity = 32;
   Options.CacheShards = 4;
   TreeService Service(Options);
+  StatsSnapshot Before = Service.stats();
 
   std::vector<std::thread> Clients;
   std::atomic<int> Failures{0};
@@ -369,7 +377,7 @@ TEST(StressService, ConcurrentCacheHitsAndSolves) {
     T.join();
 
   EXPECT_EQ(0, Failures.load());
-  StatsSnapshot Stats = Service.stats();
+  StatsSnapshot Stats = countsBetween(Before, Service.stats());
   EXPECT_GT(Stats.WholeHits, 0u);
   Service.stop();
 }
