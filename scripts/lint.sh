@@ -10,8 +10,9 @@
 #   2. Repo-specific greps that codify project rules clang-tidy cannot
 #      express: no naked new/delete outside RAII wrappers, no rand()
 #      (all randomness goes through SplitMix64/std engines with seeds),
-#      no sleep-based synchronization in src/, and no mutable shared
-#      counters that bypass <atomic>.
+#      no sleep-based synchronization in src/, no mutable shared
+#      counters that bypass <atomic>, and no raw socket calls outside
+#      the one transport module (src/service/Transport.cpp).
 #   3. Metric catalog completeness: every metric name literal in
 #      src/obs/ must be documented in docs/observability.md.
 #   4. Lock discipline: no raw standard-library locking primitives in
@@ -156,6 +157,23 @@ hits=$(cd "$REPO_ROOT" &&
        grep -vE "^(${DEBUG_PRINT_ALLOWLIST})")
 if [ -n "$hits" ]; then
   fail "stray fprintf(stderr, ...) debugging outside reporting surfaces"
+  printf '%s\n' "$hits" >&2
+fi
+
+# One socket transport: every accept/send/recv/listen and TCP_NODELAY
+# in src/ lives in service/Transport.cpp. Two hand-written copies of
+# the frame and accept code drifted apart before (one sent each frame
+# in two writes and stalled on Nagle; both leaked finished connection
+# threads); a new socket user calls the transport instead.
+TRANSPORT_ALLOWLIST='src/service/Transport\.cpp'
+SOCKET_CALL_PATTERN='(^|[^[:alnum:]_.>])(::)?accept4?\(|(^|[^[:alnum:]_])::(send|recv|listen)\(|sendmsg\(|TCP_NODELAY'
+hits=$(cd "$REPO_ROOT" &&
+       grep -rnE "$SOCKET_CALL_PATTERN" src \
+         --include='*.cpp' --include='*.h' 2>/dev/null |
+       grep -vE "^(${TRANSPORT_ALLOWLIST}):" |
+       sed 's|//.*||' | grep -E "$SOCKET_CALL_PATTERN" || true)
+if [ -n "$hits" ]; then
+  fail "raw socket call outside the transport module (use service/Transport.h)"
   printf '%s\n' "$hits" >&2
 fi
 

@@ -8,14 +8,8 @@
 #include "obs/Log.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace mutk;
@@ -69,34 +63,16 @@ bool ClusterNode::start(std::string *Error) {
   int Port = Options.ListenPort != 0
                  ? Options.ListenPort
                  : Options.Peers[static_cast<std::size_t>(Options.SelfId)].Port;
-  int Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  std::string ListenError;
+  int Fd = listenTcp(Options.ListenHost, Port, &BoundPort, &ListenError);
   if (Fd < 0)
-    return fail("cluster socket: " + std::string(std::strerror(errno)));
-  int One = 1;
-  ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(static_cast<std::uint16_t>(Port));
-  Addr.sin_addr.s_addr = Options.ListenHost == "0.0.0.0"
-                             ? INADDR_ANY
-                             : inet_addr(Options.ListenHost.c_str());
-  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
-      ::listen(Fd, 64) != 0) {
-    std::string Message = std::strerror(errno);
-    ::close(Fd);
-    return fail("cluster bind :" + std::to_string(Port) + ": " + Message);
-  }
-  sockaddr_in Bound{};
-  socklen_t Len = sizeof(Bound);
-  ::getsockname(Fd, reinterpret_cast<sockaddr *>(&Bound), &Len);
-  BoundPort = ntohs(Bound.sin_port);
-  ListenFd.store(Fd, std::memory_order_release);
+    return fail("cluster port " + std::to_string(Port) + ": " + ListenError);
 
   Running.store(true, std::memory_order_release);
   rebuildRing();
   Service.setDistCache(this);
   Service.setClusterStats([this] { return statsJson(); });
-  Acceptor = std::thread([this] { acceptLoop(); });
+  Acceptor.start(Fd, [this](int Conn) { serveConnection(Conn); });
   Pacer = std::thread([this] { pacerLoop(); });
   if (Options.StealJobs && Options.Peers.size() > 1)
     for (int I = 0; I < std::max(1, Options.StealThreads); ++I)
@@ -120,34 +96,15 @@ void ClusterNode::stop() {
     StopFlag = true;
   }
   PacerCv.notify_all();
-  int Fd = ListenFd.exchange(-1);
-  if (Fd >= 0) {
-    ::shutdown(Fd, SHUT_RDWR);
-    ::close(Fd);
-  }
-  {
-    // Sessions own (and close) their fds; a shutdown unblocks their
-    // reads so they exit promptly.
-    MutexLock Lock(SessionsMu);
-    for (int SessionFd : SessionFds)
-      ::shutdown(SessionFd, SHUT_RDWR);
-  }
-  if (Acceptor.joinable())
-    Acceptor.join();
+  // Closes the listener, shuts down every inbound session (their reads
+  // fail, so they exit promptly) and joins the session threads.
+  Acceptor.stop();
   if (Pacer.joinable())
     Pacer.join();
   for (std::thread &T : Stealers)
     if (T.joinable())
       T.join();
   Stealers.clear();
-  std::vector<std::thread> ToJoin;
-  {
-    MutexLock Lock(SessionsMu);
-    ToJoin.swap(Sessions);
-  }
-  for (std::thread &T : ToJoin)
-    if (T.joinable())
-      T.join();
   for (std::size_t I = 0; I < Links.size(); ++I)
     closeLink(static_cast<int>(I));
   // Nobody can answer lent jobs anymore: give them back to the local
@@ -231,8 +188,7 @@ bool ClusterNode::ensureConnected(PeerLink &Link, int Peer) {
   if (Link.Fd >= 0)
     return true;
   const PeerSpec &Spec = Registry.spec(Peer);
-  int Fd = connectTcpTimeout(Spec.Host, Spec.Port,
-                             Options.ConnectTimeoutSeconds);
+  int Fd = connectTcp(Spec.Host, Spec.Port, Options.ConnectTimeoutSeconds);
   if (Fd < 0) {
     Registry.noteFailure(Peer);
     return false;
@@ -359,29 +315,6 @@ void ClusterNode::insert(std::uint64_t Key, const CachedSolution &Value,
 // Inbound sessions
 //===----------------------------------------------------------------------===//
 
-void ClusterNode::acceptLoop() {
-  for (;;) {
-    int Listener = ListenFd.load(std::memory_order_acquire);
-    if (Listener < 0)
-      return;
-    int Fd = ::accept4(Listener, nullptr, nullptr, SOCK_CLOEXEC);
-    if (Fd < 0) {
-      if (errno == EINTR)
-        continue;
-      return; // listener closed by stop()
-    }
-    if (!Running.load(std::memory_order_acquire)) {
-      ::close(Fd);
-      return;
-    }
-    int One = 1;
-    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    MutexLock Lock(SessionsMu);
-    SessionFds.push_back(Fd);
-    Sessions.emplace_back([this, Fd] { serveConnection(Fd); });
-  }
-}
-
 void ClusterNode::serveConnection(int Fd) {
   DistFrame First;
   FrameError E = readDistFrame(Fd, First);
@@ -415,12 +348,6 @@ void ClusterNode::serveConnection(int Fd) {
   } else if (E != FrameError::Eof) {
     Obs.FrameErrors.inc();
   }
-  {
-    MutexLock Lock(SessionsMu);
-    SessionFds.erase(std::remove(SessionFds.begin(), SessionFds.end(), Fd),
-                     SessionFds.end());
-  }
-  ::close(Fd);
 }
 
 void ClusterNode::controlLoop(int Fd, int Peer) {

@@ -145,7 +145,6 @@ private:
     std::uint64_t NextSeq MUTK_GUARDED_BY(Mu) = 1;
   };
 
-  void acceptLoop();
   void serveConnection(int Fd);
   void controlLoop(int Fd, int Peer);
   void pacerLoop();
@@ -178,12 +177,7 @@ private:
 
   std::vector<std::unique_ptr<PeerLink>> Links;
 
-  std::atomic<int> ListenFd{-1};
   int BoundPort = -1;
-  std::thread Acceptor;
-  std::vector<std::thread> Sessions MUTK_GUARDED_BY(SessionsMu);
-  std::vector<int> SessionFds MUTK_GUARDED_BY(SessionsMu);
-  Mutex SessionsMu{"cluster.sessions"};
 
   std::thread Pacer;
   std::vector<std::thread> Stealers;
@@ -204,6 +198,9 @@ private:
   std::atomic<bool> Stopped{false};
   /// Serializes whole `stop()` runs; the outermost cluster lock.
   Mutex StopMu{"cluster.stop"};
+  /// Inbound sessions, one thread per peer connection. Last: the
+  /// session threads use the members above.
+  ConnectionAcceptor Acceptor{"dist"};
 };
 
 } // namespace mutk::dist

@@ -1,13 +1,12 @@
 //===- dist/Wire.h - Cluster wire framing with typed errors -----*- C++ -*-===//
 ///
 /// \file
-/// The framed transport of the `mutkd` cluster: every peer-to-peer
-/// message is one frame — a little-endian `u32` payload length followed
-/// by `[u8 verb][u64 seq][body...]`. The length is validated against
-/// `MaxFrameBytes` *before* any allocation (a hostile peer must not be
-/// able to OOM a node with a length prefix), and every failure mode is
-/// a distinct `FrameError` so callers and tests can tell a clean EOF
-/// from truncation, an oversized prefix, or a garbage verb.
+/// The cluster codec of `mutkd`: every peer-to-peer message is one
+/// frame of the shared transport (`service/Transport.h`: a little-endian
+/// `u32` payload length, validated against `MaxFrameBytes` before any
+/// allocation) whose payload is `[u8 verb][u64 seq][body...]`. Every
+/// failure mode is a distinct `FrameError` so callers and tests can tell
+/// a clean EOF from truncation, an oversized prefix, or a garbage verb.
 ///
 /// `Seq` is an RPC correlation id: request/response verbs echo it, and
 /// a link whose response carries the wrong `Seq` is poisoned (closed)
@@ -19,10 +18,9 @@
 #define MUTK_DIST_WIRE_H
 
 #include "service/Protocol.h"
+#include "service/Transport.h"
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 namespace mutk::dist {
@@ -62,24 +60,6 @@ enum class DistVerb : std::uint8_t {
 inline constexpr std::uint8_t MaxDistVerb =
     static_cast<std::uint8_t>(DistVerb::MpMsg);
 
-/// Typed failure modes of the wire path.
-enum class FrameError : std::uint8_t {
-  None = 0,
-  /// Clean connection end on a frame boundary (0 bytes of a header).
-  Eof = 1,
-  /// Connection died mid-frame, or a body shorter than its fixed prelude.
-  Truncated = 2,
-  /// Length prefix exceeds `MaxFrameBytes`; nothing was allocated.
-  Oversized = 3,
-  /// Unknown verb byte.
-  BadVerb = 4,
-  /// Verb-specific body failed to decode.
-  BadPayload = 5,
-};
-
-/// Stable lower-case name for a `FrameError` (logs, tests).
-const char *frameErrorName(FrameError Error);
-
 /// One decoded cluster frame.
 struct DistFrame {
   DistVerb Verb = DistVerb::Hello;
@@ -97,32 +77,16 @@ std::vector<std::uint8_t> encodeDistFrame(const DistFrame &Frame);
 FrameError decodeDistFrame(const std::vector<std::uint8_t> &Payload,
                            DistFrame &Out);
 
-/// Blocking read of one frame from a connected socket. Never allocates
-/// before the length prefix passed the `MaxFrameBytes` check.
+/// Blocking read of one frame from a connected socket (`readFrame` plus
+/// `decodeDistFrame`).
 FrameError readDistFrame(int Fd, DistFrame &Out);
 
-/// Blocking write of one frame. \returns false on any socket error.
+/// Blocking write of one frame in one send. \returns false on any
+/// socket error.
 bool writeDistFrame(int Fd, const DistFrame &Frame);
 
 /// Bytes \p Frame occupies on the wire (length prefix included).
 std::uint64_t distFrameWireBytes(const DistFrame &Frame);
-
-/// \name Low-level socket helpers shared by the cluster layer.
-/// @{
-
-/// Connects to `Host:Port` with a bounded connect timeout. \returns the
-/// connected fd or -1 (optionally filling \p Error).
-int connectTcpTimeout(const std::string &Host, int Port,
-                      double TimeoutSeconds, std::string *Error = nullptr);
-
-/// Sets `SO_RCVTIMEO` so blocking reads fail with a timeout instead of
-/// hanging on a silent peer. \p TimeoutSeconds <= 0 clears the timeout.
-bool setRecvTimeout(int Fd, double TimeoutSeconds);
-
-/// Full-buffer write (EINTR-safe, `MSG_NOSIGNAL`).
-bool writeAllBytes(int Fd, const std::uint8_t *Data, std::size_t Size);
-
-/// @}
 
 } // namespace mutk::dist
 

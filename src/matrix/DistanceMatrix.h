@@ -92,6 +92,10 @@ public:
   bool approxEquals(const DistanceMatrix &Other, double Tolerance) const;
 
 private:
+  /// Runs Floyd-Warshall over `Data` in place (matrix/MetricUtils.h);
+  /// it restores the symmetry `set` keeps before it returns.
+  friend DistanceMatrix metricClosure(const DistanceMatrix &M);
+
   int N = 0;
   std::vector<double> Data;
   std::vector<std::string> Names;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <vector>
 
 using namespace mutk;
 
@@ -60,15 +61,29 @@ bool mutk::isUltrametric(const DistanceMatrix &M, double Tolerance) {
 }
 
 DistanceMatrix mutk::metricClosure(const DistanceMatrix &M) {
-  const int N = M.size();
+  // Floyd-Warshall on the upper triangle, mirrored at the end. Row K is
+  // gathered from the upper triangle once per K (entries through K do
+  // not change during step K while the diagonal is zero), so the inner
+  // loop is a branch-free min over contiguous memory. It makes the same
+  // updates as the symmetric element-by-element form, so the result is
+  // bit-identical to it.
   DistanceMatrix Result = M;
-  for (int K = 0; K < N; ++K)
-    for (int I = 0; I < N; ++I)
-      for (int J = I + 1; J < N; ++J) {
-        double Through = Result.at(I, K) + Result.at(K, J);
-        if (Through < Result.at(I, J))
-          Result.set(I, J, Through);
-      }
+  const auto N = static_cast<std::size_t>(M.size());
+  double *D = Result.Data.data();
+  std::vector<double> RowK(N);
+  for (std::size_t K = 0; K < N; ++K) {
+    for (std::size_t J = 0; J < N; ++J)
+      RowK[J] = J < K ? D[J * N + K] : D[K * N + J];
+    for (std::size_t I = 0; I + 1 < N; ++I) {
+      const double ThroughK = RowK[I];
+      double *Row = D + I * N;
+      for (std::size_t J = I + 1; J < N; ++J)
+        Row[J] = std::min(Row[J], ThroughK + RowK[J]);
+    }
+  }
+  for (std::size_t I = 0; I < N; ++I)
+    for (std::size_t J = I + 1; J < N; ++J)
+      D[J * N + I] = D[I * N + J];
   return Result;
 }
 

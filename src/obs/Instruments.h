@@ -29,7 +29,7 @@ struct BnbStats;
 
 namespace mutk::obs {
 
-/// Hooks a `BoundedQueue` updates when attached (all optional).
+/// Hooks a `qos::ReadyQueue` updates when attached (all optional).
 struct QueueInstruments {
   Gauge *Depth = nullptr;       ///< Items currently queued.
   Counter *Enqueued = nullptr;  ///< Successful pushes.

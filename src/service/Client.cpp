@@ -2,15 +2,10 @@
 
 #include "service/Client.h"
 
-#include "service/Server.h" // readFrame/writeFrame
+#include "service/Transport.h"
 
-#include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace mutk;
@@ -26,33 +21,6 @@ void fillErrno(std::string *Error, const char *What) {
   fillError(Error, std::string(What) + ": " + std::strerror(errno));
 }
 
-/// ::connect with EINTR handling. A blocking connect interrupted by a
-/// signal keeps establishing the connection in the background; calling
-/// connect again is unspecified (EALREADY/EISCONN), so the interrupted
-/// attempt must be finished by polling for writability and reading the
-/// final status from SO_ERROR.
-bool connectFd(int Fd, const sockaddr *Addr, socklen_t Len) {
-  if (::connect(Fd, Addr, Len) == 0)
-    return true;
-  if (errno != EINTR)
-    return false;
-  pollfd P{};
-  P.fd = Fd;
-  P.events = POLLOUT;
-  while (::poll(&P, 1, -1) < 0)
-    if (errno != EINTR)
-      return false;
-  int Status = 0;
-  socklen_t StatusLen = sizeof(Status);
-  if (::getsockopt(Fd, SOL_SOCKET, SO_ERROR, &Status, &StatusLen) < 0)
-    return false;
-  if (Status != 0) {
-    errno = Status;
-    return false;
-  }
-  return true;
-}
-
 } // namespace
 
 ServiceClient::~ServiceClient() { disconnect(); }
@@ -66,50 +34,15 @@ void ServiceClient::disconnect() {
 
 bool ServiceClient::connectUnix(const std::string &Path, std::string *Error) {
   disconnect();
-  sockaddr_un Addr{};
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    fillError(Error, "unix socket path too long");
-    return false;
-  }
-  int NewFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (NewFd < 0) {
-    fillErrno(Error, "socket");
-    return false;
-  }
-  Addr.sun_family = AF_UNIX;
-  std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
-  if (!connectFd(NewFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr))) {
-    fillErrno(Error, "connect");
-    ::close(NewFd);
-    return false;
-  }
-  Fd = NewFd;
-  return true;
+  Fd = mutk::connectUnix(Path, Error);
+  return Fd >= 0;
 }
 
 bool ServiceClient::connectTcp(const std::string &Host, int Port,
                                std::string *Error) {
   disconnect();
-  int NewFd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (NewFd < 0) {
-    fillErrno(Error, "socket");
-    return false;
-  }
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(static_cast<std::uint16_t>(Port));
-  if (::inet_pton(AF_INET, Host.c_str(), &Addr.sin_addr) != 1) {
-    fillError(Error, "invalid address '" + Host + "' (numeric IPv4)");
-    ::close(NewFd);
-    return false;
-  }
-  if (!connectFd(NewFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr))) {
-    fillErrno(Error, "connect");
-    ::close(NewFd);
-    return false;
-  }
-  Fd = NewFd;
-  return true;
+  Fd = mutk::connectTcp(Host, Port, /*TimeoutSeconds=*/0, Error);
+  return Fd >= 0;
 }
 
 std::optional<Response> ServiceClient::roundTrip(const Request &R,
@@ -125,7 +58,7 @@ std::optional<Response> ServiceClient::roundTrip(const Request &R,
     return std::nullopt;
   }
   std::vector<std::uint8_t> Payload;
-  if (!readFrame(Fd, Payload)) {
+  if (readFrame(Fd, Payload) != FrameError::None) {
     fillError(Error, "connection closed while awaiting response");
     return std::nullopt;
   }
@@ -155,42 +88,31 @@ std::optional<BuildResponse> ServiceClient::build(const BuildRequest &Request,
   return Resp->Build;
 }
 
-std::optional<StatsSnapshot> ServiceClient::stats(std::string *Error) {
+std::optional<Response> ServiceClient::call(Verb V, std::string *Error) {
   Request R;
-  R.V = Verb::Stats;
+  R.V = V;
   std::optional<Response> Resp = roundTrip(R, Error);
-  if (!Resp)
-    return std::nullopt;
-  if (!Resp->ok()) {
+  if (Resp && !Resp->ok()) {
     fillError(Error, Resp->Message);
     return std::nullopt;
   }
-  return Resp->Stats;
+  return Resp;
+}
+
+std::optional<StatsSnapshot> ServiceClient::stats(std::string *Error) {
+  std::optional<Response> Resp = call(Verb::Stats, Error);
+  return Resp ? std::optional(std::move(Resp->Stats)) : std::nullopt;
 }
 
 std::optional<std::string> ServiceClient::statsJson(std::string *Error) {
-  Request R;
-  R.V = Verb::StatsJson;
-  std::optional<Response> Resp = roundTrip(R, Error);
-  if (!Resp)
-    return std::nullopt;
-  if (!Resp->ok()) {
-    fillError(Error, Resp->Message);
-    return std::nullopt;
-  }
-  return Resp->StatsJson;
+  std::optional<Response> Resp = call(Verb::StatsJson, Error);
+  return Resp ? std::optional(std::move(Resp->StatsJson)) : std::nullopt;
 }
 
 bool ServiceClient::ping(std::string *Error) {
-  Request R;
-  R.V = Verb::Ping;
-  std::optional<Response> Resp = roundTrip(R, Error);
-  return Resp && Resp->ok();
+  return call(Verb::Ping, Error).has_value();
 }
 
 bool ServiceClient::shutdownServer(std::string *Error) {
-  Request R;
-  R.V = Verb::Shutdown;
-  std::optional<Response> Resp = roundTrip(R, Error);
-  return Resp && Resp->ok();
+  return call(Verb::Shutdown, Error).has_value();
 }

@@ -66,6 +66,8 @@ public:
 
 private:
   std::optional<Response> roundTrip(const Request &R, std::string *Error);
+  /// A body-less request; an error response becomes nullopt + \p Error.
+  std::optional<Response> call(Verb V, std::string *Error);
 
   int Fd = -1;
 };

@@ -1,16 +1,18 @@
 //===- service/Server.h - Socket frontend for TreeService -------*- C++ -*-===//
 ///
 /// \file
-/// The transport layer of `mutkd`: listens on a Unix-domain or TCP
-/// socket, reads length-prefixed frames, dispatches decoded requests to
-/// a `TreeService`, and writes framed responses back. One thread per
-/// connection (connections are expected to be few and long-lived —
-/// clients pipeline requests over one socket); the worker pool behind
-/// the service provides the actual solve concurrency.
+/// The client-protocol frontend of `mutkd`: decodes each request frame
+/// a connection sends, dispatches it to a `TreeService`, and writes the
+/// framed response back. Sockets, frames and connection threads come
+/// from `service/Transport.h`; this class holds only the per-connection
+/// handler. One thread per connection (connections are expected to be
+/// few and long-lived — clients pipeline requests over one socket, and
+/// finished threads are joined as new connections arrive); the worker
+/// pool behind the service provides the actual solve concurrency.
 ///
-/// A `Shutdown` verb is acknowledged on the wire first, then stops the
-/// accept loop and wakes `waitForShutdown`, which `mutkd` uses as its
-/// run-until-told-otherwise loop.
+/// A `Shutdown` verb is acknowledged on the wire first, then wakes
+/// `waitForShutdown`, which `mutkd` uses as its run-until-told-otherwise
+/// loop before it calls `stop()`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,12 +20,10 @@
 #define MUTK_SERVICE_SERVER_H
 
 #include "service/Service.h"
+#include "service/Transport.h"
 #include "support/Mutex.h"
 
-#include <atomic>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace mutk {
 
@@ -60,37 +60,24 @@ public:
   void stop();
 
 private:
-  void acceptLoop();
   void serveConnection(int Fd);
   void requestShutdown();
 
   TreeService &Service;
-  /// Atomic: the acceptor thread reads it concurrently with `stop()`
-  /// closing the listener and writing -1.
-  std::atomic<int> ListenFd{-1};
-  int BoundPort = -1;
-  std::string UnixPath;
-  std::thread Acceptor;
-  std::vector<std::thread> Connections MUTK_GUARDED_BY(Mu);
-  /// Fds of live connections; entries are removed and closed under `Mu`
-  /// so `stop()` never shuts down a recycled descriptor.
-  std::vector<int> LiveFds MUTK_GUARDED_BY(Mu);
-  Mutex Mu{"server.state"};
-  /// Serializes whole `stop()` runs (a signal thread and the main
-  /// thread may both request shutdown). Ordered before `Mu`.
+  /// Serializes the lifecycle calls, whole `stop()` runs included (a
+  /// signal thread and the main thread may both request shutdown).
+  /// Ordered before the acceptor's lock.
   Mutex StopMu{"server.stop"};
+  /// The bound listener until `start()` hands it to the acceptor.
+  int ListenFd MUTK_GUARDED_BY(StopMu) = -1;
+  int BoundPort = -1;
+  std::string UnixPath MUTK_GUARDED_BY(StopMu);
+  Mutex ShutdownMu{"server.shutdown"};
   CondVar ShutdownCv;
-  bool ShutdownRequested MUTK_GUARDED_BY(Mu) = false;
-  std::atomic<bool> Running{false};
+  bool ShutdownRequested MUTK_GUARDED_BY(ShutdownMu) = false;
+  /// Last: its connection threads use the members above.
+  ConnectionAcceptor Acceptor{"server"};
 };
-
-/// \name Frame transport shared by server and client.
-/// Blocking full-frame io on a connected socket; false on EOF, short
-/// io, or an oversized length prefix.
-/// @{
-bool readFrame(int Fd, std::vector<std::uint8_t> &Payload);
-bool writeFrame(int Fd, const std::vector<std::uint8_t> &Payload);
-/// @}
 
 } // namespace mutk
 

@@ -32,7 +32,6 @@
 #include "qos/CostModel.h"
 #include "qos/Scheduler.h"
 #include "service/IncrementalIndex.h"
-#include "service/JobQueue.h"
 #include "service/Protocol.h"
 #include "service/ResultCache.h"
 #include "service/ServiceStats.h"

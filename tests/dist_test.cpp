@@ -806,7 +806,7 @@ TEST(Cluster, DeadThiefJobsAreReenqueued) {
   DistanceMatrix Small = uniformRandomMetric(10, 3);
   auto SmallFuture = Svc.submitAsync(inlineRequest(Small));
 
-  int Thief = connectTcpTimeout("127.0.0.1", Node.port(), 2.0, &Error);
+  int Thief = connectTcp("127.0.0.1", Node.port(), 2.0, &Error);
   ASSERT_GE(Thief, 0) << Error;
   DistFrame Hello;
   Hello.Verb = DistVerb::Hello;

@@ -139,3 +139,30 @@ TEST(LintGate, SupportWrapperAllowlistHolds) {
   std::string Out;
   EXPECT_EQ(Tree.lint(Out), 0) << Out;
 }
+
+TEST(LintGate, StraySocketCallIsRejected) {
+  FixtureTree Tree;
+  Tree.write("src/dist/Side.cpp",
+             "#include <sys/socket.h>\n"
+             "long pull(int Fd, char *B) { return ::recv(Fd, B, 1, 0); }\n");
+  std::string Out;
+  EXPECT_NE(Tree.lint(Out), 0) << Out;
+  EXPECT_NE(Out.find("raw socket call outside the transport module"),
+            std::string::npos)
+      << Out;
+}
+
+TEST(LintGate, TransportModuleAllowlistHolds) {
+  // The transport itself, and methods that merely share a socket verb's
+  // name, are not stray socket calls.
+  FixtureTree Tree;
+  Tree.write("src/service/Transport.cpp",
+             "#include <sys/socket.h>\n"
+             "long pull(int Fd, char *B) { return ::recv(Fd, B, 1, 0); }\n");
+  Tree.write("src/dist/Endpoint.cpp",
+             "struct E { void send(int); int recv(); };\n"
+             "void E::send(int) {}\n"
+             "int E::recv() { return 0; }\n");
+  std::string Out;
+  EXPECT_EQ(Tree.lint(Out), 0) << Out;
+}

@@ -4,8 +4,9 @@
 // that also run under the ASan `service` label: an oversubscribed
 // ThreadedBnb on tie-heavy matrices, hit/insert/evict storms on the
 // sharded result cache, eviction racing lookups on a single shard,
-// in-flight deadline expiry and shutdown in the loopback service, and
-// producer/consumer/close races on the bounded job queue.
+// in-flight deadline expiry and shutdown in the loopback service,
+// producer/consumer/close races on the bounded job queue, and
+// connection churn against both socket acceptors.
 //
 // These tests assert *functional* outcomes (every future resolves, costs
 // match the sequential solver, counters add up); the sanitizers assert
@@ -15,19 +16,28 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "dist/Cluster.h"
 #include "matrix/Generators.h"
 #include "parallel/ThreadedBnb.h"
-#include "service/JobQueue.h"
+#include "qos/Scheduler.h"
+#include "service/Client.h"
 #include "service/ResultCache.h"
+#include "service/Server.h"
 #include "service/Service.h"
+#include "service/Transport.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 using namespace mutk;
 
@@ -214,13 +224,13 @@ TEST(StressResultCache, ClearAndSizeDuringStores) {
 }
 
 //===----------------------------------------------------------------------===//
-// BoundedQueue close/drain races
+// Job queue (qos::ReadyQueue) close/drain races
 //===----------------------------------------------------------------------===//
 
 // Producers, consumers, and a closer all contend on a two-slot queue;
 // after close, drained + popped must equal the number of accepted items.
 TEST(StressJobQueue, ProducersConsumersAndClose) {
-  BoundedQueue<int> Queue(2);
+  qos::ReadyQueue<int> Queue(2);
   std::atomic<int> Accepted{0};
   std::atomic<int> Consumed{0};
 
@@ -379,5 +389,89 @@ TEST(StressService, ConcurrentCacheHitsAndSolves) {
   EXPECT_EQ(0, Failures.load());
   StatsSnapshot Stats = countsBetween(Before, Service.stats());
   EXPECT_GT(Stats.WholeHits, 0u);
+  Service.stop();
+}
+
+//===----------------------------------------------------------------------===//
+// Connection churn against the socket acceptors
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Lines of /proc/self/maps: each live thread stack adds mappings.
+long mapsLines() {
+  std::ifstream In("/proc/self/maps");
+  long Lines = 0;
+  for (std::string Line; std::getline(In, Line);)
+    ++Lines;
+  return Lines;
+}
+
+/// The `Threads:` field of /proc/self/status.
+long threadCount() {
+  std::ifstream In("/proc/self/status");
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind("Threads:", 0) == 0)
+      return std::stol(Line.substr(8));
+  return -1;
+}
+
+} // namespace
+
+// Thread-per-connection must not mean a thread (and a stack mapping)
+// per connection ever accepted: both acceptors join finished threads as
+// new connections arrive. Connections are strictly sequential, so only
+// a leak can make threads or mappings grow.
+TEST(StressTransport, ConnectionChurnKeepsThreadsAndMapsFlat) {
+  ServiceOptions Options;
+  Options.NumWorkers = 2;
+  TreeService Service(Options);
+  SocketServer Server(Service);
+  std::string Path = testing::TempDir() + "mutk_churn_" +
+                     std::to_string(::getpid()) + ".sock";
+  std::string Error;
+  ASSERT_TRUE(Server.listenUnix(Path, &Error)) << Error;
+  Server.start();
+
+  dist::ClusterOptions Cluster;
+  Cluster.Peers = {{0, "127.0.0.1", 0}};
+  Cluster.ListenHost = "127.0.0.1";
+  dist::ClusterNode Node(Service, Cluster);
+  ASSERT_TRUE(Node.start(&Error)) << Error;
+
+  auto pingOnce = [&] {
+    ServiceClient Client;
+    return Client.connectUnix(Path, &Error) && Client.ping(&Error);
+  };
+  // Opens a cluster connection and hangs up, then waits until the node
+  // has closed its end, so the handler is done before the next cycle.
+  auto touchNode = [&] {
+    int Fd = connectTcp("127.0.0.1", Node.port(), 2.0, &Error);
+    if (Fd < 0)
+      return false;
+    ::shutdown(Fd, SHUT_WR);
+    std::vector<std::uint8_t> Nothing;
+    bool Closed = readFrame(Fd, Nothing) == FrameError::Eof;
+    ::close(Fd);
+    return Closed;
+  };
+  // Warm up: the first connections fill glibc's thread-stack cache and
+  // create the allocator's per-thread arenas; both are bounded.
+  for (int I = 0; I < 32; ++I)
+    ASSERT_TRUE(pingOnce() && touchNode()) << Error;
+  const long MapsBefore = mapsLines();
+  const long ThreadsBefore = threadCount();
+  ASSERT_GT(MapsBefore, 0);
+  ASSERT_GT(ThreadsBefore, 0);
+
+  for (int I = 0; I < 2000; ++I)
+    ASSERT_TRUE(pingOnce()) << "connection " << I << ": " << Error;
+  for (int I = 0; I < 500; ++I)
+    ASSERT_TRUE(touchNode()) << "connection " << I << ": " << Error;
+
+  EXPECT_LE(mapsLines(), MapsBefore + 20);
+  EXPECT_LE(threadCount(), ThreadsBefore + 20);
+  Node.stop();
+  Server.stop();
   Service.stop();
 }
