@@ -40,6 +40,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Baseline.h"
 #include "Workloads.h"
 
 #include "bnb/BestFirstBnb.h"
@@ -54,7 +55,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -197,60 +197,9 @@ std::string baselineLine(const char *Set, const ResultRow &R) {
   return Line + "}";
 }
 
-/// The baseline's row lines, trailing commas removed: \p Set's rows, or
-/// with \p Keep false every other set's rows.
-std::vector<std::string> readBaseline(const char *Set, bool Keep = true) {
-  const std::string Prefix = std::string("{\"set\":\"") + Set + "\"";
-  std::vector<std::string> Rows;
-  std::ifstream In(MUTK_HOTLOOP_BASELINE);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.rfind("{\"set\":", 0) != 0 ||
-        (Line.rfind(Prefix, 0) == 0) != Keep)
-      continue;
-    if (Line.back() == ',')
-      Line.pop_back();
-    Rows.push_back(Line);
-  }
-  return Rows;
-}
-
-/// Replaces \p Set's rows of the baseline file with \p Rows, keeping
-/// the other set's rows. \returns false when the file cannot be written.
-bool updateBaseline(const char *Set, const std::vector<ResultRow> &Rows) {
-  std::vector<std::string> Lines = readBaseline(Set, /*Keep=*/false);
-  for (const ResultRow &R : Rows)
-    Lines.push_back(baselineLine(Set, R));
-  std::ofstream Out(MUTK_HOTLOOP_BASELINE, std::ios::trunc);
-  Out << "{\"bench\":\"ext_bnb_hotloop\",\"rows\":[\n";
-  for (std::size_t I = 0; I < Lines.size(); ++I)
-    Out << Lines[I] << (I + 1 < Lines.size() ? ",\n" : "\n");
-  Out << "]}\n";
-  return static_cast<bool>(Out);
-}
-
-/// Compares \p Rows, in run order, with \p Set's committed baseline
-/// rows. \returns the number of differing rows, each printed.
-int compareWithBaseline(const char *Set, const std::vector<ResultRow> &Rows) {
-  const std::vector<std::string> Expected = readBaseline(Set);
-  int Mismatches = 0;
-  for (std::size_t I = 0; I < std::max(Expected.size(), Rows.size()); ++I) {
-    const std::string Got =
-        I < Rows.size() ? baselineLine(Set, Rows[I]) : "(no row)";
-    const std::string Want = I < Expected.size() ? Expected[I] : "(no row)";
-    if (Got == Want)
-      continue;
-    std::printf("  !! baseline row %zu differs\n     got      %s\n"
-                "     expected %s\n",
-                I, Got.c_str(), Want.c_str());
-    ++Mismatches;
-  }
-  return Mismatches;
-}
-
 void printTable(bool UpdateBaseline) {
   const bool Smoke = std::getenv("MUTK_BENCH_SMOKE") != nullptr;
-  const char *Set = Smoke ? "smoke" : "full";
+  const char *Set = bench::baselineSet();
   bench::banner(
       "Extension: B&B hot-loop cost identity and throughput",
       "Every engine x {None, ThirdSpecies} must return the exact same "
@@ -341,20 +290,12 @@ void printTable(bool UpdateBaseline) {
     }
   }
   writeJson(Rows);
-  if (UpdateBaseline) {
-    if (!updateBaseline(Set, Rows)) {
-      std::printf("  !! could not write %s\n", MUTK_HOTLOOP_BASELINE);
-      std::exit(1);
-    }
-    std::printf("  updated the %s rows of %s\n", Set, MUTK_HOTLOOP_BASELINE);
-  } else if (int Mismatches = compareWithBaseline(Set, Rows)) {
-    std::printf("  !! %d mismatches against %s\n", Mismatches,
-                MUTK_HOTLOOP_BASELINE);
+  std::vector<std::string> Lines;
+  for (const ResultRow &R : Rows)
+    Lines.push_back(baselineLine(Set, R));
+  if (!bench::checkBaseline(MUTK_HOTLOOP_BASELINE, "ext_bnb_hotloop", Set,
+                            Lines, UpdateBaseline))
     Failed = true;
-  } else {
-    std::printf("  all %zu rows match the committed %s baseline\n",
-                Rows.size(), Set);
-  }
   if (Failed) {
     std::printf("  !! hot-loop gates failed\n");
     std::exit(1);
@@ -384,16 +325,7 @@ BENCHMARK(BM_HotloopSequentialThird)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
-  bool UpdateBaseline = false;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--update-baseline") == 0) {
-      UpdateBaseline = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[I]);
-      return 2;
-    }
-  }
-  printTable(UpdateBaseline);
+  printTable(bench::updateBaselineRequested(argc, argv));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

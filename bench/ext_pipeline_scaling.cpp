@@ -18,11 +18,19 @@
 // `BENCH_pipeline.json` to the working directory following the
 // BENCH_*.json convention in docs/benchmarking.md.
 //
+// The machine-independent part of every row (species, K, compact-set
+// count, solved block count and the cost to the last bit) is compared
+// with the committed bench/baseline/pipeline.json (bench/Baseline.h);
+// any difference exits nonzero, so a decomposition change that moves a
+// set, a block or the cost cannot pass unnoticed. A change meant to alter
+// them reruns with `--update-baseline` and commits the rows.
+//
 // MUTK_BENCH_SMOKE=1 shrinks the workload to a seconds-long CI smoke
 // run (fewer clusters, easier blocks, no timing repetitions).
 //
 //===----------------------------------------------------------------------===//
 
+#include "Baseline.h"
 #include "Workloads.h"
 
 #include "compact/CompactSetPipeline.h"
@@ -37,6 +45,10 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#ifndef MUTK_PIPELINE_BASELINE
+#error "MUTK_PIPELINE_BASELINE must name the committed baseline file"
+#endif
 
 using namespace mutk;
 
@@ -84,12 +96,25 @@ DistanceMatrix blockyMetric(int Clusters, int SpeciesPerCluster,
 
 struct ResultRow {
   int Species = 0;
-  int Blocks = 0;
+  int Blocks = 0; // planted clusters, the scaling shape's x axis
   int Concurrency = 0;
   double Millis = 0.0;
   double Speedup = 1.0;
   double Cost = 0.0;
+  int CompactSets = 0;
+  int SolvedBlocks = 0; // blocks the pipeline solved, root block included
 };
+
+/// One row of the committed baseline: a single JSON object on one line.
+std::string baselineLine(const char *Set, const ResultRow &R) {
+  char Buf[256];
+  std::snprintf(Buf, sizeof(Buf),
+                "{\"set\":\"%s\",\"species\":%d,\"concurrency\":%d,"
+                "\"compact_sets\":%d,\"solved_blocks\":%d,\"cost\":%.17g}",
+                Set, R.Species, R.Concurrency, R.CompactSets, R.SolvedBlocks,
+                R.Cost);
+  return Buf;
+}
 
 /// BENCH_*.json convention: {"bench":NAME,"rows":[...],"registry":{...}}.
 void writeJson(const std::vector<ResultRow> &Rows) {
@@ -116,8 +141,10 @@ void writeJson(const std::vector<ResultRow> &Rows) {
   std::printf("  wrote BENCH_pipeline.json (%zu rows)\n", Rows.size());
 }
 
+/// One pipeline run at block concurrency \p Concurrency; fills \p Row's
+/// machine-independent fields and returns the wall time.
 double timedRunMillis(const DistanceMatrix &M, int Concurrency,
-                      double *OutCost) {
+                      ResultRow &Row) {
   PipelineOptions Options;
   Options.BlockConcurrency = Concurrency;
   auto Start = std::chrono::steady_clock::now();
@@ -125,11 +152,15 @@ double timedRunMillis(const DistanceMatrix &M, int Concurrency,
   double Millis = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - Start)
                       .count();
-  *OutCost = R.Cost;
+  Row.Species = M.size();
+  Row.Concurrency = Concurrency;
+  Row.Cost = R.Cost;
+  Row.CompactSets = static_cast<int>(R.Sets.size());
+  Row.SolvedBlocks = static_cast<int>(R.Blocks.size());
   return Millis;
 }
 
-void printTable() {
+void printTable(bool UpdateBaseline) {
   const bool Smoke = std::getenv("MUTK_BENCH_SMOKE") != nullptr;
   bench::banner(
       "Extension: parallel block scheduler scaling",
@@ -154,10 +185,11 @@ void printTable() {
     if (Smoke && K > 4)
       break;
     std::vector<double> Times;
-    double Cost = 0.0;
+    ResultRow Row;
     for (int Rep = 0; Rep < Reps; ++Rep)
-      Times.push_back(timedRunMillis(M, K, &Cost));
-    double Millis = bench::median(Times);
+      Times.push_back(timedRunMillis(M, K, Row));
+    const double Millis = bench::median(Times);
+    const double Cost = Row.Cost;
     if (K == 1) {
       BaselineMillis = Millis;
       BaselineCost = Cost;
@@ -169,28 +201,36 @@ void printTable() {
                   BaselineCost);
       std::exit(1);
     }
-    double Speedup = Millis > 0.0 ? BaselineMillis / Millis : 1.0;
+    Row.Blocks = Clusters;
+    Row.Millis = Millis;
+    Row.Speedup = Millis > 0.0 ? BaselineMillis / Millis : 1.0;
     std::printf("%8d %8d %12.1f %9.2fx %10.3f\n", Clusters, K, Millis,
-                Speedup, Cost);
-    Rows.push_back(
-        ResultRow{M.size(), Clusters, K, Millis, Speedup, Cost});
+                Row.Speedup, Cost);
+    Rows.push_back(Row);
   }
   writeJson(Rows);
+  const char *Set = bench::baselineSet();
+  std::vector<std::string> Lines;
+  for (const ResultRow &R : Rows)
+    Lines.push_back(baselineLine(Set, R));
+  if (!bench::checkBaseline(MUTK_PIPELINE_BASELINE, "ext_pipeline_scaling",
+                            Set, Lines, UpdateBaseline))
+    std::exit(1);
 }
 
 void BM_PipelineSequentialWalk(benchmark::State &State) {
   DistanceMatrix M = blockyMetric(4, 11, 3);
   for (auto _ : State) {
-    double Cost = 0.0;
-    benchmark::DoNotOptimize(timedRunMillis(M, 1, &Cost));
+    ResultRow Row;
+    benchmark::DoNotOptimize(timedRunMillis(M, 1, Row));
   }
 }
 
 void BM_PipelineScheduler4(benchmark::State &State) {
   DistanceMatrix M = blockyMetric(4, 11, 3);
   for (auto _ : State) {
-    double Cost = 0.0;
-    benchmark::DoNotOptimize(timedRunMillis(M, 4, &Cost));
+    ResultRow Row;
+    benchmark::DoNotOptimize(timedRunMillis(M, 4, Row));
   }
 }
 
@@ -201,7 +241,7 @@ BENCHMARK(BM_PipelineScheduler4)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
-  printTable();
+  printTable(bench::updateBaselineRequested(argc, argv));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -3,13 +3,24 @@
 #include "graph/CompactSets.h"
 
 #include "graph/Mst.h"
-#include "support/UnionFind.h"
 
 #include <algorithm>
 #include <cassert>
 #include <limits>
 
 using namespace mutk;
+
+namespace {
+
+/// The output order of both detectors: ascending `MaxInside`, ties by
+/// members.
+bool compactSetLess(const CompactSet &A, const CompactSet &B) {
+  if (A.MaxInside != B.MaxInside)
+    return A.MaxInside < B.MaxInside;
+  return A.Members < B.Members;
+}
+
+} // namespace
 
 bool mutk::isCompactSet(const DistanceMatrix &M,
                         const std::vector<int> &Members) {
@@ -37,78 +48,32 @@ bool mutk::isCompactSet(const DistanceMatrix &M,
 }
 
 std::vector<CompactSet> mutk::findCompactSets(const DistanceMatrix &M) {
-  const int N = M.size();
   std::vector<CompactSet> Result;
-  if (N < 3)
-    return Result; // no proper nontrivial subset can exist for n < 3
-
-  std::vector<WeightedEdge> Tree = kruskalMst(M);
-  // kruskalMst already returns edges in ascending (weight, U, V) order.
-
-  UnionFind Components(static_cast<std::size_t>(N));
-  // Members and the max intra-set distance per component representative.
-  std::vector<std::vector<int>> Members(static_cast<std::size_t>(N));
-  std::vector<double> MaxInside(static_cast<std::size_t>(N), 0.0);
-  for (int I = 0; I < N; ++I)
-    Members[static_cast<std::size_t>(I)] = {I};
-
-  const int NumEdges = static_cast<int>(Tree.size());
-  for (int EdgeIndex = 0; EdgeIndex < NumEdges; ++EdgeIndex) {
-    const WeightedEdge &E = Tree[static_cast<std::size_t>(EdgeIndex)];
-    int RepA = Components.find(E.U);
-    int RepB = Components.find(E.V);
-    assert(RepA != RepB && "MST edge endpoints already merged");
-
-    // Max over the complete graph inside the merged component: old maxima
-    // plus all cross pairs. Total cross-pair work over the whole run is
-    // O(n^2).
-    double CrossMax = 0.0;
-    for (int A : Members[static_cast<std::size_t>(RepA)])
-      for (int B : Members[static_cast<std::size_t>(RepB)])
-        CrossMax = std::max(CrossMax, M.at(A, B));
-
-    int Rep = Components.unite(E.U, E.V);
-    int Other = (Rep == RepA) ? RepB : RepA;
-    double MergedMax = std::max({MaxInside[static_cast<std::size_t>(RepA)],
-                                 MaxInside[static_cast<std::size_t>(RepB)],
-                                 CrossMax});
-    MaxInside[static_cast<std::size_t>(Rep)] = MergedMax;
-    auto &Into = Members[static_cast<std::size_t>(Rep)];
-    auto &From = Members[static_cast<std::size_t>(Other)];
-    Into.insert(Into.end(), From.begin(), From.end());
-    From.clear();
-    From.shrink_to_fit();
-
-    // The final merge yields the whole species set, which is excluded.
-    if (EdgeIndex == NumEdges - 1)
-      break;
-
-    // Min(A, !A) = lightest remaining MST edge crossing the cut. Remaining
-    // MST edges always join two *distinct* current components, so "crosses
-    // the cut" is exactly "one endpoint in Rep".
-    double MinOutgoing = std::numeric_limits<double>::infinity();
-    for (int J = EdgeIndex + 1; J < NumEdges; ++J) {
-      const WeightedEdge &Later = Tree[static_cast<std::size_t>(J)];
-      bool UIn = Components.find(Later.U) == Rep;
-      bool VIn = Components.find(Later.V) == Rep;
-      assert(!(UIn && VIn) && "future MST edge inside one component");
-      if (UIn != VIn) {
-        MinOutgoing = Later.Weight;
-        break;
-      }
+  // Max over the complete graph inside each component, keyed by the
+  // component's smallest member.
+  std::vector<double> MaxInside(static_cast<std::size_t>(M.size()), 0.0);
+  forEachMerge(M, [&](const std::vector<int> &A, const std::vector<int> &B,
+                      double Weight) {
+    // This merge absorbs both components. Its edge is the lightest tree
+    // edge leaving each of them, so by the MST cut property Weight is
+    // their Min(S, !S). The whole species set is never absorbed.
+    for (const std::vector<int> *Set : {&A, &B}) {
+      double Max = MaxInside[static_cast<std::size_t>(Set->front())];
+      if (Set->size() >= 2 && Max < Weight)
+        Result.push_back(CompactSet{*Set, Max, Weight});
     }
-    assert(MinOutgoing < std::numeric_limits<double>::infinity() &&
-           "non-final component must have an outgoing MST edge");
-
-    if (MergedMax < MinOutgoing) {
-      CompactSet Set;
-      Set.Members = Into;
-      std::sort(Set.Members.begin(), Set.Members.end());
-      Set.MaxInside = MergedMax;
-      Set.MinOutgoing = MinOutgoing;
-      Result.push_back(std::move(Set));
+    // Old maxima plus all cross pairs; every pair is a cross pair of
+    // exactly one merge, so this is O(n^2) over the whole walk.
+    double Max = std::max(MaxInside[static_cast<std::size_t>(A.front())],
+                          MaxInside[static_cast<std::size_t>(B.front())]);
+    for (int U : A) {
+      const double *Row = M.row(U);
+      for (int V : B)
+        Max = std::max(Max, Row[V]);
     }
-  }
+    MaxInside[static_cast<std::size_t>(std::min(A.front(), B.front()))] = Max;
+  });
+  std::sort(Result.begin(), Result.end(), compactSetLess);
   return Result;
 }
 
@@ -143,12 +108,7 @@ mutk::findCompactSetsBruteForce(const DistanceMatrix &M) {
     Result.push_back(std::move(Set));
   }
 
-  std::sort(Result.begin(), Result.end(),
-            [](const CompactSet &A, const CompactSet &B) {
-              if (A.MaxInside != B.MaxInside)
-                return A.MaxInside < B.MaxInside;
-              return A.Members < B.Members;
-            });
+  std::sort(Result.begin(), Result.end(), compactSetLess);
   return Result;
 }
 

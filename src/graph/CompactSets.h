@@ -10,15 +10,20 @@
 ///  * Lemma 3: compact sets are laminar (two compact sets are nested or
 ///    disjoint), so they form a hierarchy.
 ///  * Lemma 4: a compact set induces a connected subtree of the MST, so
-///    every compact set appears as a component during Kruskal's merge
-///    sequence — which is what makes the O(n^2 log n) detector below exact.
+///    every compact set appears as a component during the single-linkage
+///    merge sequence (the MST edges in ascending order) — which is what
+///    makes the O(n^2) detector below exact.
 ///
-/// The detector implements the paper's "Algorithm Compact Sets": run
-/// Kruskal in ascending edge order and, after every merge, test the merged
-/// component. `Max(A)` is maintained incrementally over the *complete*
-/// graph; `Min(A, !A)` is the lightest remaining MST edge crossing the cut
-/// (MST cut property). A brute-force subset enumerator is provided as the
-/// reference oracle for tests.
+/// The detector implements the paper's "Algorithm Compact Sets" without
+/// sorting the complete graph: dense Prim builds an MST in O(n^2), only its
+/// n - 1 edges are sorted, and one union-find pass merges components in
+/// that order (`forEachMerge`). `Max(A)` is maintained incrementally over
+/// the *complete* graph. `Min(A, !A)` is the weight of the merge that
+/// absorbs `A`: that edge is the lightest tree edge leaving `A`, and by the
+/// MST cut property the lightest tree edge across a cut is the lightest
+/// edge across it. Which MST Prim picks under ties does not change the
+/// result. A brute-force subset enumerator is provided as the reference
+/// oracle for tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,11 +55,13 @@ struct CompactSet {
 bool isCompactSet(const DistanceMatrix &M, const std::vector<int> &Members);
 
 /// Finds every *proper, nontrivial* compact set (`2 <= |S| < n`) via the
-/// Kruskal merge sequence. Results are ordered by ascending `MaxInside`
-/// (i.e. discovery order), members sorted ascending. O(n^2 log n).
+/// single-linkage merge sequence. Results are ordered by ascending
+/// `MaxInside`, ties by members (the brute-force oracle's order), members
+/// sorted ascending. O(n^2).
 std::vector<CompactSet> findCompactSets(const DistanceMatrix &M);
 
 /// Reference oracle: enumerates all `2^n` subsets. Requires `n <= 22`.
+/// Same output, in the same order, as `findCompactSets`.
 std::vector<CompactSet> findCompactSetsBruteForce(const DistanceMatrix &M);
 
 /// Returns true if \p Sets is laminar: every pair is nested or disjoint.

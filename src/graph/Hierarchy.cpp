@@ -43,47 +43,41 @@ CompactHierarchy::CompactHierarchy(int NumSpecies,
   Nodes.push_back(std::move(Root));
   RootId = 0;
 
-  auto contains = [](const std::vector<int> &Outer,
-                     const std::vector<int> &Inner) {
-    return std::includes(Outer.begin(), Outer.end(), Inner.begin(),
-                         Inner.end());
-  };
-
-  // Link each set under the smallest already-placed superset. Because the
-  // lists are processed largest-first and the family is laminar, the
-  // correct parent is the most recently placed superset.
+  // Owner[S]: the smallest node placed so far that contains species S.
+  // Lists arrive largest-first and the family is laminar, so every placed
+  // set meeting a list contains it, and the smallest of them — the list's
+  // parent — is the current owner of any one of its members.
+  std::vector<int> Owner(static_cast<std::size_t>(NumSpecies), RootId);
   for (auto &List : Lists) {
-    int Parent = RootId;
-    for (int Id = 1; Id < numNodes(); ++Id)
-      if (node(Id).Species.size() > List.size() &&
-          contains(node(Id).Species, List) &&
-          node(Id).Species.size() < node(Parent).Species.size())
-        Parent = Id;
+    const int Id = numNodes();
+    const int Parent = Owner[static_cast<std::size_t>(List.front())];
+    for (int Species : List)
+      Owner[static_cast<std::size_t>(Species)] = Id;
     Node New;
     New.Species = std::move(List);
     New.Parent = Parent;
     Nodes.push_back(std::move(New));
-    Nodes[static_cast<std::size_t>(Parent)].Children.push_back(numNodes() -
-                                                               1);
+    Nodes[static_cast<std::size_t>(Parent)].Children.push_back(Id);
   }
 
-  // Add singleton leaves for species not covered by any child of a node.
+  // A species is covered by no child of a node exactly when that node is
+  // its final owner: give it a singleton leaf there, nodes in id order and
+  // species ascending within each node.
   const int NumInternal = numNodes();
-  for (int Id = 0; Id < NumInternal; ++Id) {
-    std::vector<bool> Covered(static_cast<std::size_t>(NumSpecies), false);
-    for (int Child : node(Id).Children)
-      for (int Species : node(Child).Species)
-        Covered[static_cast<std::size_t>(Species)] = true;
-    for (int Species : node(Id).Species) {
-      if (Covered[static_cast<std::size_t>(Species)])
-        continue;
+  std::vector<std::vector<int>> Uncovered(
+      static_cast<std::size_t>(NumInternal));
+  for (int Species = 0; Species < NumSpecies; ++Species) {
+    const int Id = Owner[static_cast<std::size_t>(Species)];
+    Uncovered[static_cast<std::size_t>(Id)].push_back(Species);
+  }
+  for (int Id = 0; Id < NumInternal; ++Id)
+    for (int Species : Uncovered[static_cast<std::size_t>(Id)]) {
       Node Leaf;
       Leaf.Species = {Species};
       Leaf.Parent = Id;
       Nodes.push_back(std::move(Leaf));
       Nodes[static_cast<std::size_t>(Id)].Children.push_back(numNodes() - 1);
     }
-  }
 }
 
 std::vector<std::vector<int>> CompactHierarchy::partitionAt(int Id) const {

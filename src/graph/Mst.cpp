@@ -18,34 +18,6 @@ bool mutk::edgeLess(const WeightedEdge &A, const WeightedEdge &B) {
   return A.V < B.V;
 }
 
-std::vector<WeightedEdge> mutk::sortedCompleteEdges(const DistanceMatrix &M) {
-  std::vector<WeightedEdge> Edges;
-  const int N = M.size();
-  Edges.reserve(static_cast<std::size_t>(N) * (N - 1) / 2);
-  for (int I = 0; I < N; ++I)
-    for (int J = I + 1; J < N; ++J)
-      Edges.push_back(WeightedEdge{I, J, M.at(I, J)});
-  std::sort(Edges.begin(), Edges.end(), edgeLess);
-  return Edges;
-}
-
-std::vector<WeightedEdge> mutk::kruskalMst(const DistanceMatrix &M) {
-  const int N = M.size();
-  std::vector<WeightedEdge> Tree;
-  if (N < 2)
-    return Tree;
-  Tree.reserve(static_cast<std::size_t>(N - 1));
-  UnionFind Components(static_cast<std::size_t>(N));
-  for (const WeightedEdge &E : sortedCompleteEdges(M)) {
-    if (Components.unite(E.U, E.V) < 0)
-      continue;
-    Tree.push_back(E);
-    if (static_cast<int>(Tree.size()) == N - 1)
-      break;
-  }
-  return Tree;
-}
-
 std::vector<WeightedEdge> mutk::primMst(const DistanceMatrix &M) {
   const int N = M.size();
   std::vector<WeightedEdge> Tree;
@@ -56,19 +28,25 @@ std::vector<WeightedEdge> mutk::primMst(const DistanceMatrix &M) {
   std::vector<bool> InTree(static_cast<std::size_t>(N), false);
   std::vector<double> Best(static_cast<std::size_t>(N),
                            std::numeric_limits<double>::infinity());
-  std::vector<int> BestFrom(static_cast<std::size_t>(N), -1);
+  // Vertex 0 enters first, so it is a valid source for every vertex: a
+  // Best that stays +infinity (no finite edge from the tree) still names
+  // the real edge (0, V), whose weight is then +infinity too.
+  std::vector<int> BestFrom(static_cast<std::size_t>(N), 0);
 
-  InTree[0] = true;
-  for (int V = 1; V < N; ++V) {
-    Best[static_cast<std::size_t>(V)] = M.at(0, V);
-    BestFrom[static_cast<std::size_t>(V)] = 0;
-  }
-
-  for (int Step = 1; Step < N; ++Step) {
+  // One pass per step both relaxes the vertices outside the tree against
+  // the vertex just added and picks the next one: the lightest, lowest
+  // index first.
+  for (int Added = 0, Step = 0; Step < N - 1; ++Step) {
+    InTree[static_cast<std::size_t>(Added)] = true;
+    const double *Row = M.row(Added);
     int Next = -1;
     for (int V = 0; V < N; ++V) {
       if (InTree[static_cast<std::size_t>(V)])
         continue;
+      if (Row[V] < Best[static_cast<std::size_t>(V)]) {
+        Best[static_cast<std::size_t>(V)] = Row[V];
+        BestFrom[static_cast<std::size_t>(V)] = Added;
+      }
       if (Next < 0 ||
           Best[static_cast<std::size_t>(V)] < Best[static_cast<std::size_t>(Next)])
         Next = V;
@@ -76,18 +54,43 @@ std::vector<WeightedEdge> mutk::primMst(const DistanceMatrix &M) {
     assert(Next >= 0 && "graph must be connected (it is complete)");
     int From = BestFrom[static_cast<std::size_t>(Next)];
     Tree.push_back(WeightedEdge{std::min(From, Next), std::max(From, Next),
-                                M.at(From, Next)});
-    InTree[static_cast<std::size_t>(Next)] = true;
-    for (int V = 0; V < N; ++V) {
-      if (InTree[static_cast<std::size_t>(V)])
-        continue;
-      if (M.at(Next, V) < Best[static_cast<std::size_t>(V)]) {
-        Best[static_cast<std::size_t>(V)] = M.at(Next, V);
-        BestFrom[static_cast<std::size_t>(V)] = Next;
-      }
-    }
+                                Best[static_cast<std::size_t>(Next)]});
+    Added = Next;
   }
   return Tree;
+}
+
+std::vector<WeightedEdge> mutk::sortedMst(const DistanceMatrix &M) {
+  std::vector<WeightedEdge> Tree = primMst(M);
+  std::sort(Tree.begin(), Tree.end(), edgeLess);
+  return Tree;
+}
+
+void mutk::forEachMerge(const DistanceMatrix &M, const MergeVisitor &Visit) {
+  const int N = M.size();
+  UnionFind Components(static_cast<std::size_t>(N));
+  // Members per component representative, kept sorted.
+  std::vector<std::vector<int>> Members(static_cast<std::size_t>(N));
+  for (int I = 0; I < N; ++I)
+    Members[static_cast<std::size_t>(I)] = {I};
+
+  for (const WeightedEdge &E : sortedMst(M)) {
+    int RepA = Components.find(E.U);
+    int RepB = Components.find(E.V);
+    assert(RepA != RepB && "MST edge endpoints already merged");
+    Visit(Members[static_cast<std::size_t>(RepA)],
+          Members[static_cast<std::size_t>(RepB)], E.Weight);
+
+    int Rep = Components.unite(RepA, RepB);
+    auto &Into = Members[static_cast<std::size_t>(Rep)];
+    auto &From = Members[static_cast<std::size_t>(Rep == RepA ? RepB : RepA)];
+    const std::size_t Middle = Into.size();
+    Into.insert(Into.end(), From.begin(), From.end());
+    std::inplace_merge(Into.begin(),
+                       Into.begin() + static_cast<std::ptrdiff_t>(Middle),
+                       Into.end());
+    std::vector<int>().swap(From);
+  }
 }
 
 double mutk::totalWeight(const std::vector<WeightedEdge> &Edges) {

@@ -3,8 +3,10 @@
 /// \file
 /// A distance matrix is viewed as a complete, weighted, undirected graph
 /// (paper §2). Compact-set detection starts from a minimum spanning tree of
-/// that graph (paper §3.1 uses Kruskal); Prim's algorithm is also provided
-/// as an independent implementation used to cross-check MST weight in tests.
+/// that graph. The paper (§3.1) runs Kruskal over all n(n-1)/2 edges; here
+/// dense Prim builds the tree in O(n^2) and only its n - 1 edges are
+/// sorted, which yields the same single-linkage merge sequence without
+/// sorting the complete graph.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +15,7 @@
 
 #include "matrix/DistanceMatrix.h"
 
+#include <functional>
 #include <vector>
 
 namespace mutk {
@@ -28,23 +31,28 @@ struct WeightedEdge {
   }
 };
 
-/// Compares by (weight, U, V); gives Kruskal a deterministic edge order
-/// even in the presence of ties.
+/// Compares by (weight, U, V): a deterministic edge order even in the
+/// presence of ties.
 bool edgeLess(const WeightedEdge &A, const WeightedEdge &B);
 
-/// All `n(n-1)/2` edges of the complete graph of \p M, sorted by
-/// `edgeLess`.
-std::vector<WeightedEdge> sortedCompleteEdges(const DistanceMatrix &M);
-
-/// Kruskal MST of the complete graph of \p M.
-///
-/// \returns the `n - 1` tree edges in the order they were accepted
-/// (ascending weight). Deterministic under ties via `edgeLess`.
-std::vector<WeightedEdge> kruskalMst(const DistanceMatrix &M);
-
 /// Prim MST of the complete graph of \p M (O(n^2), no edge sort).
-/// Edge order follows vertex insertion; total weight equals Kruskal's.
+/// Edge order follows vertex insertion.
 std::vector<WeightedEdge> primMst(const DistanceMatrix &M);
+
+/// The `n - 1` edges of `primMst(M)` sorted by `edgeLess`: the order in
+/// which single linkage merges components. O(n^2).
+std::vector<WeightedEdge> sortedMst(const DistanceMatrix &M);
+
+/// Visitor for `forEachMerge`: the members of the two components an MST
+/// edge of weight \p Weight joins, each in increasing species order.
+using MergeVisitor = std::function<void(
+    const std::vector<int> &A, const std::vector<int> &B, double Weight)>;
+
+/// Replays the single-linkage merge sequence of \p M: for each edge of
+/// `sortedMst(M)`, calls \p Visit with the two components it joins, then
+/// joins them. Every pair of species is split across exactly one call, so
+/// a visitor that touches each cross pair keeps the whole walk O(n^2).
+void forEachMerge(const DistanceMatrix &M, const MergeVisitor &Visit);
 
 /// Sum of edge weights.
 double totalWeight(const std::vector<WeightedEdge> &Edges);

@@ -3,10 +3,8 @@
 #include "graph/Subdominant.h"
 
 #include "graph/Mst.h"
-#include "support/UnionFind.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace mutk;
 
@@ -15,29 +13,15 @@ DistanceMatrix mutk::subdominantUltrametric(const DistanceMatrix &M) {
   DistanceMatrix U(N);
   for (int I = 0; I < N; ++I)
     U.setName(I, M.name(I));
-  if (N < 2)
-    return U;
 
-  // Kruskal in ascending order: when an MST edge of weight w merges two
-  // components, every cross pair's bottleneck distance is exactly w.
-  UnionFind Components(static_cast<std::size_t>(N));
-  std::vector<std::vector<int>> Members(static_cast<std::size_t>(N));
-  for (int I = 0; I < N; ++I)
-    Members[static_cast<std::size_t>(I)] = {I};
-
-  for (const WeightedEdge &E : kruskalMst(M)) {
-    int RA = Components.find(E.U);
-    int RB = Components.find(E.V);
-    for (int A : Members[static_cast<std::size_t>(RA)])
-      for (int B : Members[static_cast<std::size_t>(RB)])
-        U.set(A, B, E.Weight);
-    int Rep = Components.unite(E.U, E.V);
-    int Other = (Rep == RA) ? RB : RA;
-    auto &Into = Members[static_cast<std::size_t>(Rep)];
-    auto &From = Members[static_cast<std::size_t>(Other)];
-    Into.insert(Into.end(), From.begin(), From.end());
-    From.clear();
-  }
+  // Single linkage in ascending order: when an MST edge of weight w merges
+  // two components, every cross pair's bottleneck distance is exactly w.
+  forEachMerge(M, [&](const std::vector<int> &A, const std::vector<int> &B,
+                      double Weight) {
+    for (int I : A)
+      for (int J : B)
+        U.set(I, J, Weight);
+  });
   return U;
 }
 

@@ -2,9 +2,9 @@
 ///
 /// \file
 /// A disjoint-set (union-find) forest with union by size and path
-/// compression. Used by the Kruskal minimum-spanning-tree construction and
-/// by the compact-set detector, both of which merge components in ascending
-/// edge-weight order.
+/// compression. Used by the single-linkage merge walk behind compact-set
+/// detection (`forEachMerge` in graph/Mst.h), which merges components along
+/// the MST edges in ascending weight order, and by the spanning-tree check.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -158,7 +158,7 @@ TEST(DotExport, MstGraphClustersMaximalCompactSets) {
   DistanceMatrix M = plantedClusterMetric(10, 4);
   auto Sets = findCompactSets(M);
   ASSERT_FALSE(Sets.empty());
-  std::string Dot = toMstDot(M, kruskalMst(M), Sets);
+  std::string Dot = toMstDot(M, sortedMst(M), Sets);
   EXPECT_NE(Dot.find("graph \"mst\""), std::string::npos);
   EXPECT_NE(Dot.find("subgraph cluster_0"), std::string::npos);
   // Undirected edges: n - 1 of them.

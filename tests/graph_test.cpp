@@ -5,10 +5,12 @@
 #include "graph/Mst.h"
 #include "matrix/Generators.h"
 #include "matrix/MetricUtils.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 using namespace mutk;
 
@@ -45,10 +47,37 @@ std::vector<std::vector<int>> memberLists(const std::vector<CompactSet> &Sets) {
   return Lists;
 }
 
+/// Integer distances drawn from \p Levels values and repaired into a
+/// metric: dense with ties, the inputs on which different MSTs exist.
+DistanceMatrix quantizedMetric(int N, int Levels, Rng &Rand) {
+  DistanceMatrix Raw(N);
+  for (int I = 0; I < N; ++I)
+    for (int J = I + 1; J < N; ++J)
+      Raw.set(I, J, Rand.nextInt(1, Levels));
+  return metricClosure(Raw);
+}
+
+/// The largest edge weight on the path from \p From to \p To in
+/// \p Tree, or -1 when \p To is not reachable.
+double maxEdgeOnPath(const std::vector<WeightedEdge> &Tree, int From, int To,
+                     int Parent = -1) {
+  if (From == To)
+    return 0.0;
+  for (const WeightedEdge &E : Tree) {
+    int Next = E.U == From ? E.V : E.V == From ? E.U : -1;
+    if (Next < 0 || Next == Parent)
+      continue;
+    double Rest = maxEdgeOnPath(Tree, Next, To, From);
+    if (Rest >= 0.0)
+      return std::max(E.Weight, Rest);
+  }
+  return -1.0;
+}
+
 } // namespace
 
 TEST(Mst, PaperExampleEdges) {
-  std::vector<WeightedEdge> Tree = kruskalMst(paperExample());
+  std::vector<WeightedEdge> Tree = sortedMst(paperExample());
   ASSERT_EQ(Tree.size(), 5u);
   EXPECT_EQ(Tree[0], (WeightedEdge{0, 2, 1}));
   EXPECT_EQ(Tree[1], (WeightedEdge{3, 5, 2}));
@@ -59,26 +88,51 @@ TEST(Mst, PaperExampleEdges) {
   EXPECT_DOUBLE_EQ(totalWeight(Tree), 15.0);
 }
 
-TEST(Mst, KruskalEqualsPrimWeight) {
+TEST(Mst, PrimTreeSatisfiesTheCycleProperty) {
+  // A spanning tree is minimum iff every non-tree edge weighs at least
+  // the largest edge on its tree path; quantized inputs add ties.
+  Rng Rand(5);
   for (std::uint64_t Seed : {1u, 2u, 3u, 4u}) {
-    DistanceMatrix M = uniformRandomMetric(25, Seed);
-    auto K = kruskalMst(M);
-    auto P = primMst(M);
-    EXPECT_TRUE(isSpanningTree(K, 25));
-    EXPECT_TRUE(isSpanningTree(P, 25));
-    EXPECT_NEAR(totalWeight(K), totalWeight(P), 1e-9) << "seed " << Seed;
+    for (const DistanceMatrix &M :
+         {uniformRandomMetric(25, Seed), quantizedMetric(25, 3, Rand)}) {
+      std::vector<WeightedEdge> Tree = sortedMst(M);
+      ASSERT_TRUE(isSpanningTree(Tree, 25)) << "seed " << Seed;
+      EXPECT_TRUE(std::is_sorted(Tree.begin(), Tree.end(), edgeLess));
+      for (int I = 0; I < 25; ++I)
+        for (int J = I + 1; J < 25; ++J)
+          EXPECT_GE(M.at(I, J), maxEdgeOnPath(Tree, I, J))
+              << "seed " << Seed << " edge " << I << "-" << J;
+    }
   }
 }
 
 TEST(Mst, TinyGraphs) {
   DistanceMatrix M1(1);
-  EXPECT_TRUE(kruskalMst(M1).empty());
+  EXPECT_TRUE(sortedMst(M1).empty());
   EXPECT_TRUE(primMst(M1).empty());
   DistanceMatrix M2(2);
   M2.set(0, 1, 4);
-  auto K = kruskalMst(M2);
-  ASSERT_EQ(K.size(), 1u);
-  EXPECT_EQ(K[0], (WeightedEdge{0, 1, 4}));
+  auto Tree = sortedMst(M2);
+  ASSERT_EQ(Tree.size(), 1u);
+  EXPECT_EQ(Tree[0], (WeightedEdge{0, 1, 4}));
+
+  // Species 0 is infinitely far from everyone, so the tree must take an
+  // infinite edge out of vertex 0 before it can reach the rest.
+  const double Inf = std::numeric_limits<double>::infinity();
+  DistanceMatrix M3(3);
+  M3.set(0, 1, Inf);
+  M3.set(0, 2, Inf);
+  M3.set(1, 2, 2);
+  Tree = sortedMst(M3);
+  EXPECT_TRUE(isSpanningTree(Tree, 3));
+  EXPECT_EQ(Tree, (std::vector<WeightedEdge>{{1, 2, 2}, {0, 1, Inf}}));
+  // Every distance infinite: still a spanning tree with real endpoints.
+  DistanceMatrix MInf(4);
+  for (int I = 0; I < 4; ++I)
+    for (int J = I + 1; J < 4; ++J)
+      MInf.set(I, J, Inf);
+  EXPECT_TRUE(isSpanningTree(primMst(MInf), 4));
+  EXPECT_TRUE(isSpanningTree(sortedMst(MInf), 4));
 }
 
 TEST(Mst, SpanningTreePredicateRejectsCycles) {
@@ -175,6 +229,84 @@ TEST(CompactSets, TiesExcludeBoundary) {
   EXPECT_TRUE(findCompactSetsBruteForce(M).empty());
 }
 
+TEST(CompactSets, MatchesBruteForceOnQuantizedTies) {
+  // Few distinct distances: many MSTs exist, and sets tie on MaxInside.
+  // The detector must still return exactly the oracle's sets, witnesses
+  // and order.
+  Rng Rand(2024);
+  for (int Trial = 0; Trial < 400; ++Trial) {
+    const int N = 3 + Trial % 10;
+    const int Levels = 2 + Trial / 10 % 4;
+    DistanceMatrix M = quantizedMetric(N, Levels, Rand);
+    std::vector<CompactSet> Fast = findCompactSets(M);
+    std::vector<CompactSet> Slow = findCompactSetsBruteForce(M);
+    ASSERT_EQ(Fast.size(), Slow.size()) << "trial " << Trial;
+    for (std::size_t I = 0; I < Fast.size(); ++I) {
+      EXPECT_EQ(Fast[I].Members, Slow[I].Members) << "trial " << Trial;
+      EXPECT_EQ(Fast[I].MaxInside, Slow[I].MaxInside) << "trial " << Trial;
+      EXPECT_EQ(Fast[I].MinOutgoing, Slow[I].MinOutgoing) << "trial " << Trial;
+      EXPECT_LT(Fast[I].MaxInside, Fast[I].MinOutgoing) << "trial " << Trial;
+      if (I > 0) {
+        EXPECT_LE(Fast[I - 1].MaxInside, Fast[I].MaxInside)
+            << "trial " << Trial;
+      }
+    }
+  }
+}
+
+TEST(CompactSets, InfiniteDistancesMatchBruteForce) {
+  // Species fall into up to three groups that are infinitely far apart;
+  // inside a group the distances are quantized. Every Prim step that
+  // crosses groups takes an infinite edge, and detection must neither
+  // read a bad endpoint nor disagree with the oracle.
+  const double Inf = std::numeric_limits<double>::infinity();
+  Rng Rand(77);
+  for (int Trial = 0; Trial < 120; ++Trial) {
+    const int N = 3 + Trial % 9;
+    const int Groups = 1 + Trial / 9 % 3;
+    std::vector<int> Group(static_cast<std::size_t>(N));
+    for (int &G : Group)
+      G = Rand.nextInt(0, Groups - 1);
+    DistanceMatrix M = quantizedMetric(N, 3, Rand);
+    for (int I = 0; I < N; ++I)
+      for (int J = I + 1; J < N; ++J)
+        if (Group[static_cast<std::size_t>(I)] !=
+            Group[static_cast<std::size_t>(J)])
+          M.set(I, J, Inf);
+    ASSERT_TRUE(isSpanningTree(sortedMst(M), N)) << "trial " << Trial;
+    std::vector<CompactSet> Fast = findCompactSets(M);
+    std::vector<CompactSet> Slow = findCompactSetsBruteForce(M);
+    ASSERT_EQ(Fast.size(), Slow.size()) << "trial " << Trial;
+    for (std::size_t I = 0; I < Fast.size(); ++I) {
+      EXPECT_EQ(Fast[I].Members, Slow[I].Members) << "trial " << Trial;
+      EXPECT_EQ(Fast[I].MaxInside, Slow[I].MaxInside) << "trial " << Trial;
+      EXPECT_EQ(Fast[I].MinOutgoing, Slow[I].MinOutgoing) << "trial " << Trial;
+    }
+    CompactHierarchy H(N, Fast);
+    EXPECT_EQ(H.node(H.rootId()).Species.size(), static_cast<std::size_t>(N));
+  }
+}
+
+TEST(CompactSets, OrderedByMaxInsideNotByCreation) {
+  // Five points on a line (diameter 4, created by the weight-1 merges)
+  // and a far pair at distance 2 (created later, by the weight-2 merge):
+  // the pair has the smaller MaxInside and comes first.
+  DistanceMatrix M(7);
+  for (int I = 0; I < 5; ++I) {
+    for (int J = I + 1; J < 5; ++J)
+      M.set(I, J, J - I);
+    M.set(I, 5, 10);
+    M.set(I, 6, 10);
+  }
+  M.set(5, 6, 2);
+  std::vector<CompactSet> Sets = findCompactSets(M);
+  ASSERT_EQ(Sets.size(), 2u);
+  EXPECT_EQ(Sets[0].Members, (std::vector<int>{5, 6}));
+  EXPECT_EQ(Sets[1].Members, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_DOUBLE_EQ(Sets[1].MaxInside, 4.0);
+  EXPECT_DOUBLE_EQ(Sets[1].MinOutgoing, 10.0);
+}
+
 TEST(Hierarchy, PaperExampleStructure) {
   DistanceMatrix M = paperExample();
   CompactHierarchy H(6, findCompactSets(M));
@@ -204,6 +336,39 @@ TEST(Hierarchy, SingletonLeavesCoverEverything) {
         Union.insert(Union.end(), B.begin(), B.end());
       std::sort(Union.begin(), Union.end());
       EXPECT_EQ(Union, H.node(Id).Species);
+    }
+  }
+}
+
+TEST(Hierarchy, ParentIsTheSmallestStrictSuperset) {
+  for (int N : {30, 41, 52, 64}) {
+    DistanceMatrix M = plantedClusterMetric(N, static_cast<std::uint64_t>(N));
+    std::vector<CompactSet> Sets = findCompactSets(M);
+    ASSERT_FALSE(Sets.empty()) << "n " << N;
+    CompactHierarchy H(N, Sets);
+    const std::vector<int> Internal = H.internalNodesTopDown();
+    ASSERT_EQ(Internal.size(), Sets.size() + 1) << "n " << N;
+    for (int Id = 0; Id < H.numNodes(); ++Id) {
+      const CompactHierarchy::Node &Node = H.node(Id);
+      // Brute force over the root and every set node.
+      int Want = -1;
+      for (int Other : Internal) {
+        const std::vector<int> &Outer = H.node(Other).Species;
+        if (Outer.size() > Node.Species.size() &&
+            std::includes(Outer.begin(), Outer.end(), Node.Species.begin(),
+                          Node.Species.end()) &&
+            (Want < 0 || Outer.size() < H.node(Want).Species.size()))
+          Want = Other;
+      }
+      EXPECT_EQ(Node.Parent, Want) << "n " << N << " node " << Id;
+      // Children in id order: set nodes largest first, then the leaves.
+      EXPECT_TRUE(std::is_sorted(Node.Children.begin(), Node.Children.end()));
+    }
+    // Set nodes take ids 1.. in (size descending, members) order.
+    for (std::size_t I = 2; I < Internal.size(); ++I) {
+      const std::vector<int> &A = H.node(Internal[I - 1]).Species;
+      const std::vector<int> &B = H.node(Internal[I]).Species;
+      EXPECT_TRUE(A.size() > B.size() || (A.size() == B.size() && A < B));
     }
   }
 }
