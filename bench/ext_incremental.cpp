@@ -151,7 +151,7 @@ ResultRow runScenario(const std::string &Scenario, const DistanceMatrix &Base,
 
     ServiceOptions ColdOptions;
     ColdOptions.NumWorkers = 2;
-    ColdOptions.CacheCapacity = 0;
+    ColdOptions.CacheBytes = 0;
     TreeService Cold(ColdOptions);
     BuildResponse ColdResp;
     ScratchMillis.push_back(submitMillis(Cold, Perturbed, false, &ColdResp));

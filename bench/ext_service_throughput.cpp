@@ -178,7 +178,7 @@ void blockOverlapTable(std::vector<ResultRow> &Rows) {
     double ColdRps = 0.0;
     {
       ServiceOptions ColdOptions = Options;
-      ColdOptions.CacheCapacity = 0;
+      ColdOptions.CacheBytes = 0;
       TreeService ColdService(ColdOptions);
       ColdRps =
           closedLoopRps(ColdService, Matrices, Clients, RequestsPerClient);
@@ -454,7 +454,7 @@ void printTable() {
       double ColdRps = 0.0;
       {
         ServiceOptions ColdOptions = Options;
-        ColdOptions.CacheCapacity = 0;
+        ColdOptions.CacheBytes = 0;
         TreeService ColdService(ColdOptions);
         ColdRps = closedLoopRps(ColdService, Matrices, Clients,
                                 RequestsPerClient);
@@ -486,7 +486,7 @@ void printTable() {
 void BM_ServiceSubmitCold(benchmark::State &State) {
   ServiceOptions Options;
   Options.NumWorkers = 2;
-  Options.CacheCapacity = 0;
+  Options.CacheBytes = 0;
   TreeService Service(Options);
   std::uint64_t Seed = 1;
   for (auto _ : State) {

@@ -9,7 +9,7 @@
 //
 // Usage:
 //   mutkd --unix PATH | --port N [--host A.B.C.D]
-//         [--workers N] [--queue N] [--cache N] [--max-species N]
+//         [--workers N] [--queue N] [--cache-mb N] [--max-species N]
 //         [--block-solver seq|threaded|cluster]
 //         [--block-concurrency N] [--threads-per-block N]
 //         [--incremental [--incremental-bases N]]
@@ -76,7 +76,7 @@ namespace {
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s --unix PATH | --port N [--host IPV4]\n"
-               "       [--workers N] [--queue N] [--cache N]"
+               "       [--workers N] [--queue N] [--cache-mb N]"
                " [--max-species N]\n"
                "       [--block-solver seq|threaded|cluster]\n"
                "       [--block-concurrency N] [--threads-per-block N]\n"
@@ -206,9 +206,15 @@ int main(int argc, char **argv) {
       Options.NumWorkers = std::atoi(V);
     else if (Arg == "--queue" && (V = next()))
       Options.QueueCapacity = static_cast<std::size_t>(std::atoll(V));
-    else if (Arg == "--cache" && (V = next()))
-      Options.CacheCapacity = static_cast<std::size_t>(std::atoll(V));
-    else if (Arg == "--max-species" && (V = next()))
+    else if (Arg == "--cache-mb" && (V = next()))
+      Options.CacheBytes =
+          static_cast<std::size_t>(std::clamp(std::atoll(V), 0LL, 1LL << 40))
+          << 20;
+    else if (Arg == "--cache") {
+      std::fprintf(stderr, "--cache (an entry count) was replaced by "
+                           "--cache-mb N (a budget in MiB; 0 disables)\n");
+      return usage(argv[0]);
+    } else if (Arg == "--max-species" && (V = next()))
       Options.MaxSpecies = std::atoi(V);
     else if (Arg == "--block-solver" && (V = next())) {
       if (std::strcmp(V, "seq") == 0)
@@ -354,7 +360,7 @@ int main(int argc, char **argv) {
       .kv("addr", Addr)
       .kv("workers", Options.NumWorkers)
       .kv("queue_capacity", Options.QueueCapacity)
-      .kv("cache_capacity", Options.CacheCapacity)
+      .kv("cache_mb", Options.CacheBytes >> 20)
       .kv("max_species", Options.MaxSpecies)
       .kv("block_concurrency", Options.BlockConcurrency)
       .kv("threads_per_block", Options.ThreadsPerBlock)

@@ -263,8 +263,8 @@ ClusterNode::lookup(std::uint64_t Key, const std::vector<std::uint8_t> &Bytes,
   bool Contended = false;
   KeyedMutex::Guard Guard = LookupFlights.lock(Key, &Contended);
   if (Contended)
-    if (std::optional<CachedSolution> Local = Service.cacheLookup(Key, Bytes))
-      return Local;
+    if (ShardedLruCache::Entry Local = Service.cacheLookup(Key, Bytes))
+      return *Local;
   Obs.RemoteLookups.inc();
   DistFrame Request;
   Request.Verb = DistVerb::CacheLookup;
@@ -379,8 +379,7 @@ void ClusterNode::controlLoop(int Fd, int Peer) {
       }
       DistFrame Reply;
       Reply.Seq = Frame.Seq;
-      if (std::optional<CachedSolution> Hit =
-              Service.cacheLookup(Key, Identity)) {
+      if (ShardedLruCache::Entry Hit = Service.cacheLookup(Key, Identity)) {
         Reply.Verb = DistVerb::CacheHit;
         Reply.Body = encodeCacheEntry(Key, *Hit);
       } else {

@@ -48,6 +48,8 @@ CacheInstruments &mutk::obs::cacheInstruments() {
       reg().counter("mutk_cache_hits_total"),
       reg().counter("mutk_cache_misses_total"),
       reg().counter("mutk_cache_evictions_total"),
+      reg().counter("mutk_cache_oversized_total"),
+      reg().gauge("mutk_cache_bytes"),
   };
   return I;
 }

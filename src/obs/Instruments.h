@@ -61,11 +61,15 @@ struct CacheShardInstruments {
   Counter *Evictions = nullptr;
 };
 
-/// Aggregate cache counters.
+/// Aggregate cache instruments.
 struct CacheInstruments {
   Counter &Hits;
   Counter &Misses;
   Counter &Evictions;
+  /// Stores refused because the entry alone exceeds a shard's budget.
+  Counter &Oversized;
+  /// Resident charge of every live cache in the process, in bytes.
+  Gauge &Bytes;
 };
 CacheInstruments &cacheInstruments();
 

@@ -5,31 +5,45 @@
 #include "support/Audit.h"
 
 #include <algorithm>
+#include <iterator>
 
 using namespace mutk;
 
 #if MUTK_AUDIT_ENABLED
 bool ShardedLruCache::shardConsistent(const Shard &S) const {
-  if (S.Index.size() != S.Lru.size() || S.Lru.size() > CapacityPerShard)
+  if (S.Index.size() != S.Lru.size() || S.Bytes > BudgetPerShard)
     return false;
+  std::size_t Bytes = 0;
   for (auto It = S.Lru.begin(); It != S.Lru.end(); ++It) {
-    auto Found = S.Index.find(It->first);
-    if (Found == S.Index.end() || Found->second != It)
+    auto Found = S.Index.find(It->Key);
+    if (Found == S.Index.end() || Found->second != It ||
+        It->Charge != charge(*It->Value))
       return false;
+    Bytes += It->Charge;
   }
-  return true;
+  return Bytes == S.Bytes;
 }
 #endif
 
-ShardedLruCache::ShardedLruCache(std::size_t Capacity, int NumShards) {
+ShardedLruCache::ShardedLruCache(std::size_t BudgetBytes, int NumShards) {
   NumShards = std::max(1, NumShards);
   Shards.reserve(static_cast<std::size_t>(NumShards));
   for (int I = 0; I < NumShards; ++I) {
     Shards.push_back(std::make_unique<Shard>());
     Shards.back()->Id = I;
   }
-  CapacityPerShard =
-      std::max<std::size_t>(1, Capacity / static_cast<std::size_t>(NumShards));
+  BudgetPerShard = BudgetBytes / static_cast<std::size_t>(NumShards);
+}
+
+ShardedLruCache::~ShardedLruCache() {
+  // The gauge sums every live cache in the process; leave it as if this
+  // one never existed.
+  clear();
+}
+
+std::size_t ShardedLruCache::charge(const CachedSolution &Value) {
+  return Value.Bytes.capacity() +
+         Value.Tree.nodeCapacity() * sizeof(PhyloNode) + EntryOverheadBytes;
 }
 
 void ShardedLruCache::setInstruments(
@@ -70,49 +84,53 @@ ShardedLruCache::Shard &ShardedLruCache::shardFor(std::uint64_t Key) {
   return *Shards[static_cast<std::size_t>(Mixed % Shards.size())];
 }
 
-std::optional<CachedSolution>
+void ShardedLruCache::unlink(Shard &S, std::list<Slot>::iterator It) {
+  S.Bytes -= It->Charge;
+  if (Aggregate)
+    Aggregate->Bytes.sub(static_cast<std::int64_t>(It->Charge));
+  S.Index.erase(It->Key);
+  S.Lru.erase(It);
+}
+
+ShardedLruCache::Entry
 ShardedLruCache::lookup(std::uint64_t Key,
                         const std::vector<std::uint8_t> &Bytes) {
   Shard &S = shardFor(Key);
   MutexLock Lock(S.Mu);
   auto It = S.Index.find(Key);
-  if (It == S.Index.end() || It->second->second.Bytes != Bytes) {
+  if (It == S.Index.end() || It->second->Value->Bytes != Bytes) {
     noteMiss(S);
-    return std::nullopt;
+    return nullptr;
   }
   S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
   noteHit(S);
   MUTK_AUDIT(shardConsistent(S),
              "cache shard index/LRU desynchronized after lookup");
-  return It->second->second;
+  return It->second->Value;
 }
 
-bool ShardedLruCache::peek(std::uint64_t Key,
-                           const std::vector<std::uint8_t> &Bytes) {
+void ShardedLruCache::store(std::uint64_t Key, Entry Value) {
+  std::size_t Charge = charge(*Value);
   Shard &S = shardFor(Key);
   MutexLock Lock(S.Mu);
-  auto It = S.Index.find(Key);
-  return It != S.Index.end() && It->second->second.Bytes == Bytes;
-}
-
-void ShardedLruCache::store(std::uint64_t Key, CachedSolution Value) {
-  Shard &S = shardFor(Key);
-  MutexLock Lock(S.Mu);
-  auto It = S.Index.find(Key);
-  if (It != S.Index.end()) {
-    // Refresh: a colliding key overwrites (last writer wins; the bytes
-    // check on lookup keeps either outcome correct).
-    It->second->second = std::move(Value);
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+  if (Charge > BudgetPerShard) {
+    if (Aggregate)
+      Aggregate->Oversized.inc();
     return;
   }
-  if (S.Lru.size() >= CapacityPerShard) {
-    S.Index.erase(S.Lru.back().first);
-    S.Lru.pop_back();
+  // Replace: a colliding key overwrites (last writer wins; the bytes
+  // check on lookup keeps either outcome correct).
+  if (auto It = S.Index.find(Key); It != S.Index.end())
+    unlink(S, It->second);
+  while (S.Bytes + Charge > BudgetPerShard) {
+    unlink(S, std::prev(S.Lru.end()));
     noteEviction(S);
   }
-  S.Lru.emplace_front(Key, std::move(Value));
+  S.Lru.push_front(Slot{Key, std::move(Value), Charge});
   S.Index.emplace(Key, S.Lru.begin());
+  S.Bytes += Charge;
+  if (Aggregate)
+    Aggregate->Bytes.add(static_cast<std::int64_t>(Charge));
   MUTK_AUDIT(shardConsistent(S),
              "cache shard index/LRU desynchronized after store");
 }
@@ -120,19 +138,22 @@ void ShardedLruCache::store(std::uint64_t Key, CachedSolution Value) {
 void ShardedLruCache::clear() {
   for (auto &S : Shards) {
     MutexLock Lock(S->Mu);
+    if (Aggregate)
+      Aggregate->Bytes.sub(static_cast<std::int64_t>(S->Bytes));
     S->Lru.clear();
     S->Index.clear();
+    S->Bytes = 0;
   }
 }
 
-std::vector<std::pair<std::uint64_t, CachedSolution>>
+std::vector<std::pair<std::uint64_t, ShardedLruCache::Entry>>
 ShardedLruCache::entries() const {
-  std::vector<std::pair<std::uint64_t, CachedSolution>> Out;
+  std::vector<std::pair<std::uint64_t, Entry>> Out;
   for (const auto &S : Shards) {
     MutexLock Lock(S->Mu);
     // Front = most recently used; walk backwards for LRU-first order.
     for (auto It = S->Lru.rbegin(); It != S->Lru.rend(); ++It)
-      Out.push_back(*It);
+      Out.emplace_back(It->Key, It->Value);
   }
   return Out;
 }
@@ -142,6 +163,15 @@ std::size_t ShardedLruCache::size() const {
   for (const auto &S : Shards) {
     MutexLock Lock(S->Mu);
     Total += S->Lru.size();
+  }
+  return Total;
+}
+
+std::size_t ShardedLruCache::bytes() const {
+  std::size_t Total = 0;
+  for (const auto &S : Shards) {
+    MutexLock Lock(S->Mu);
+    Total += S->Bytes;
   }
   return Total;
 }

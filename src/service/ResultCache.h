@@ -8,6 +8,11 @@
 /// salts the two key spaces apart), so repeated or overlapping queries
 /// skip branch-and-bound entirely.
 ///
+/// The cache is bounded by bytes, not entries: a whole-matrix entry
+/// carries the canonical bytes of its matrix (16 KB at 64 species, 16 MB
+/// at 2048) while a two-species block entry is a few hundred bytes, so an
+/// entry count bounds neither memory nor what stays resident.
+///
 /// Sharding bounds lock contention: a key maps to one of `NumShards`
 /// independent LRU lists, each behind its own mutex, so concurrent
 /// workers rarely serialize. Hash collisions are handled by storing the
@@ -27,7 +32,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -48,55 +52,80 @@ struct CachedSolution {
   std::vector<std::uint8_t> Bytes;
 };
 
-/// Sharded LRU map `fingerprint -> CachedSolution`, safe for concurrent
-/// lookup/store from any number of threads.
+/// Sharded LRU map `fingerprint -> CachedSolution`, bounded by bytes and
+/// safe for concurrent lookup/store from any number of threads. Entries
+/// are immutable and shared: a hit hands out the stored entry itself, so
+/// neither the tree nor the (up to MBs of) key bytes are copied under the
+/// shard lock, and an evicted entry stays alive for whoever still holds it.
 class ShardedLruCache {
 public:
-  /// \p Capacity is the *total* entry budget, split evenly across
-  /// \p NumShards (each shard holds at least one entry).
-  explicit ShardedLruCache(std::size_t Capacity, int NumShards = 8);
+  using Entry = std::shared_ptr<const CachedSolution>;
 
-  /// Returns a copy of the entry for \p Key whose stored bytes equal
-  /// \p Bytes, refreshing its recency; nullopt (a miss) otherwise.
-  std::optional<CachedSolution> lookup(std::uint64_t Key,
-                                       const std::vector<std::uint8_t> &Bytes);
+  /// \p BudgetBytes is the *total* byte budget, split evenly across
+  /// \p NumShards. A budget of 0 stores nothing.
+  explicit ShardedLruCache(std::size_t BudgetBytes, int NumShards = 8);
+  ~ShardedLruCache();
 
-  /// Inserts or refreshes \p Value under \p Key, evicting the shard's
-  /// least-recently-used entry when full.
-  void store(std::uint64_t Key, CachedSolution Value);
+  ShardedLruCache(const ShardedLruCache &) = delete;
+  ShardedLruCache &operator=(const ShardedLruCache &) = delete;
 
-  /// True when an entry for \p Key with exactly \p Bytes exists. Unlike
-  /// `lookup` this copies nothing, refreshes no recency and counts no
-  /// hit/miss — an advisory probe (the QoS layer exempts warm requests
-  /// from admission control with it) that must not distort the cache's
-  /// own statistics.
-  bool peek(std::uint64_t Key, const std::vector<std::uint8_t> &Bytes);
+  /// The bytes \p Value is charged against the budget: the capacity of
+  /// its key bytes and tree nodes plus a fixed per-entry overhead.
+  static std::size_t charge(const CachedSolution &Value);
+
+  /// Returns the entry for \p Key whose stored bytes equal \p Bytes,
+  /// refreshing its recency; null (a miss) otherwise.
+  Entry lookup(std::uint64_t Key, const std::vector<std::uint8_t> &Bytes);
+
+  /// Inserts or replaces the entry under \p Key, evicting the shard's
+  /// least-recently-used entries until it fits. An entry whose charge
+  /// exceeds a shard's share of the budget is not stored (and counted
+  /// once as oversized); any entry already under \p Key stays.
+  void store(std::uint64_t Key, Entry Value);
+  void store(std::uint64_t Key, CachedSolution Value) {
+    store(Key, std::make_shared<const CachedSolution>(std::move(Value)));
+  }
 
   /// Drops every entry (the attached counters keep their totals).
   void clear();
 
-  /// Copies out every entry, least-recently-used first (so replaying the
-  /// list through `store` reproduces the recency order). Used by the
+  /// Every entry, least-recently-used first (so replaying the list
+  /// through `store` reproduces the recency order). Used by the
   /// persistence layer to compact the cache into a snapshot file.
-  std::vector<std::pair<std::uint64_t, CachedSolution>> entries() const;
+  std::vector<std::pair<std::uint64_t, Entry>> entries() const;
 
-  /// Attaches the counters that record hits, misses and evictions: the
-  /// aggregate trio plus one labeled trio per shard (`Shards.size()`
-  /// entries expected; extras ignored). The cache keeps no counts of its
-  /// own, so events before attachment are not recorded anywhere.
+  /// Attaches the counters that record hits, misses, evictions and
+  /// oversized refusals and the resident-bytes gauge: the aggregate set
+  /// plus one labeled trio per shard (`Shards.size()` entries expected;
+  /// extras ignored). Attach before the first store: the cache keeps no
+  /// counts of its own, so events before attachment are not recorded.
   void setInstruments(const obs::CacheInstruments *Aggregate,
                       std::vector<obs::CacheShardInstruments> PerShard);
 
   std::size_t size() const;
+  /// Resident charge of all entries (never above the budget).
+  std::size_t bytes() const;
 
 private:
+  /// Bookkeeping charged to every entry on top of its heap buffers: the
+  /// entry object, its shared-pointer control block, the LRU list node
+  /// and the index node.
+  static constexpr std::size_t EntryOverheadBytes = 192;
+
+  struct Slot {
+    std::uint64_t Key = 0;
+    Entry Value;
+    std::size_t Charge = 0;
+  };
+
   struct Shard {
     int Id = 0;
     mutable Mutex Mu{"service.cache.shard"};
     /// Front = most recently used.
-    std::list<std::pair<std::uint64_t, CachedSolution>> Lru MUTK_GUARDED_BY(Mu);
-    std::unordered_map<std::uint64_t, decltype(Lru)::iterator> Index
+    std::list<Slot> Lru MUTK_GUARDED_BY(Mu);
+    std::unordered_map<std::uint64_t, std::list<Slot>::iterator> Index
         MUTK_GUARDED_BY(Mu);
+    std::size_t Bytes MUTK_GUARDED_BY(Mu) = 0;
   };
 
   Shard &shardFor(std::uint64_t Key);
@@ -104,17 +133,20 @@ private:
   void noteHit(const Shard &S);
   void noteMiss(const Shard &S);
   void noteEviction(const Shard &S);
+  /// Removes \p It from \p S and returns its charge to the budget.
+  void unlink(Shard &S, std::list<Slot>::iterator It) MUTK_REQUIRES(S.Mu);
 
 #if MUTK_AUDIT_ENABLED
   /// Shard structural invariants, checked under the shard lock: the
-  /// index mirrors the LRU list one-to-one and capacity is respected.
+  /// index mirrors the LRU list one-to-one, the byte count is the sum of
+  /// the charges and the budget is respected.
   bool shardConsistent(const Shard &S) const MUTK_REQUIRES(S.Mu);
 #endif
 
   std::vector<std::unique_ptr<Shard>> Shards;
   const obs::CacheInstruments *Aggregate = nullptr;
   std::vector<obs::CacheShardInstruments> PerShard;
-  std::size_t CapacityPerShard;
+  std::size_t BudgetPerShard;
 };
 
 } // namespace mutk

@@ -25,19 +25,20 @@ constexpr std::uint64_t WholeKeySalt = 0x9e3779b97f4a7c15ull;
 
 /// In-memory cache entries -> durable records (shared by early and
 /// shutdown compaction).
-std::vector<persist::DurableCacheRecord>
-toDurableRecords(std::vector<std::pair<std::uint64_t, CachedSolution>> Entries) {
+std::vector<persist::DurableCacheRecord> toDurableRecords(
+    const std::vector<std::pair<std::uint64_t, ShardedLruCache::Entry>>
+        &Entries) {
   std::vector<persist::DurableCacheRecord> Records;
   Records.reserve(Entries.size());
-  for (auto &[Key, Value] : Entries) {
+  for (const auto &[Key, Value] : Entries) {
     persist::DurableCacheRecord Rec;
     Rec.Key = Key;
-    Rec.CanonicalBytes = std::move(Value.Bytes);
-    Rec.Tree = std::move(Value.Tree);
-    Rec.Cost = Value.Cost;
-    Rec.Exact = Value.Exact;
-    Rec.Space = Value.Block ? persist::CacheNamespace::Block
-                            : persist::CacheNamespace::Whole;
+    Rec.CanonicalBytes = Value->Bytes;
+    Rec.Tree = Value->Tree;
+    Rec.Cost = Value->Cost;
+    Rec.Exact = Value->Exact;
+    Rec.Space = Value->Block ? persist::CacheNamespace::Block
+                             : persist::CacheNamespace::Whole;
     Records.push_back(std::move(Rec));
   }
   return Records;
@@ -53,12 +54,13 @@ PhyloTree relabelLeaves(const PhyloTree &Tree, const std::vector<int> &Map) {
 /// Whole-matrix cache identity: the canonical matrix bytes extended by
 /// the knobs that change the merged tree (mode, polish). Exact-only
 /// entries make the remaining knobs (budgets, size caps) irrelevant.
-std::vector<std::uint8_t> wholeCacheBytes(const CanonicalForm &Form,
+/// Consumes \p Canonical and returns a buffer of exactly the needed size.
+std::vector<std::uint8_t> wholeCacheBytes(std::vector<std::uint8_t> Canonical,
                                           const BuildRequest &Request) {
-  std::vector<std::uint8_t> Bytes = Form.Bytes;
-  Bytes.push_back(static_cast<std::uint8_t>(Request.Mode));
-  Bytes.push_back(Request.Polish ? 1 : 0);
-  return Bytes;
+  Canonical.reserve(Canonical.size() + 2);
+  Canonical.push_back(static_cast<std::uint8_t>(Request.Mode));
+  Canonical.push_back(Request.Polish ? 1 : 0);
+  return Canonical;
 }
 
 std::uint64_t wholeCacheKey(const CanonicalForm &Form,
@@ -108,8 +110,7 @@ TreeService::TreeService(const ServiceOptions &Options)
             qos::SchedulerOptions{Options.QosStarvationMillis,
                                   &QosObs.StarvationPromotions},
             Obs.Queue),
-      Cache(std::max<std::size_t>(1, Options.CacheCapacity),
-            Options.CacheShards) {
+      Cache(Options.CacheBytes, Options.CacheShards) {
   Cache.setInstruments(&obs::cacheInstruments(),
                        obs::cacheShardInstruments(
                            std::max(1, Options.CacheShards)));
@@ -138,7 +139,7 @@ TreeService::TreeService(const ServiceOptions &Options)
   obs::log(obs::LogLevel::Debug, "service", "started")
       .kv("workers", NumWorkers)
       .kv("queue_capacity", std::max<std::size_t>(1, Options.QueueCapacity))
-      .kv("cache_capacity", Options.CacheCapacity)
+      .kv("cache_bytes", Options.CacheBytes)
       .kv("cache_shards", std::max(1, Options.CacheShards))
       .kv("state_dir",
           Options.StateDir.empty() ? std::string("off") : Options.StateDir);
@@ -172,7 +173,8 @@ void TreeService::recoverState() {
     Value.Bytes = std::move(Rec.CanonicalBytes);
     if (Value.Block)
       ++BlockRecords;
-    Cache.store(Rec.Key, std::move(Value));
+    if (Options.CacheBytes > 0)
+      Cache.store(Rec.Key, std::move(Value));
   }
   obs::blockCacheInstruments().Recovered.inc(BlockRecords);
   obs::log(obs::LogLevel::Info, "service", "durable cache recovered")
@@ -292,49 +294,58 @@ std::future<BuildResponse> TreeService::submitAsync(BuildRequest Request) {
   }
 
   if (Options.Qos.Enabled) {
-    // One canonical form serves the warm peek, the profile memo key and
-    // the worker's cache probe.
+    // One canonical form serves the whole-matrix cache probe, the profile
+    // memo key and the worker's cache store.
     if (J.Request.Generator == GeneratorKind::None)
       J.Form = canonicalForm(J.Request.Matrix);
-    // Warm requests — whole-matrix identity already cached — skip
-    // admission entirely: answering them is O(replay) regardless of how
-    // hard the matrix once was, and the advisory `peek` keeps the probe
-    // from distorting cache statistics.
-    bool Warm = false;
-    bool CacheOn = Options.CacheCapacity > 0 && J.Request.UseCache;
-    if (J.Form && CacheOn && J.Request.Matrix.size() > 1)
-      Warm = Cache.peek(wholeCacheKey(*J.Form, J.Request),
-                        wholeCacheBytes(*J.Form, J.Request));
-    if (!Warm) {
-      qos::DifficultyProfile Profile =
-          J.Form ? Cost.profileFor(J.Form->Key, J.Request.Matrix)
-                 : qos::CostModel::generatorProfile(J.Request.GenSpecies);
-      double RemainingMillis =
-          J.Request.DeadlineMillis > 0
-              ? static_cast<double>(J.Request.DeadlineMillis)
-              : -1.0;
-      qos::Verdict V = Admission.assess(J.Request, Profile, RemainingMillis);
-      if (!V.Admit) {
-        if (V.Error == ServiceError::RateLimited)
-          QosObs.RateLimited.inc();
-        else
-          QosObs.Shed.inc();
-        // Echo the prediction that justified the rejection: the client
-        // can tell a hopeless deadline apart from a drained bucket.
-        J.PredictedMillis = V.PredictedMillis;
-        reject(V.Error, std::move(V.Message));
+    // A request whose whole-matrix answer is cached is answered right
+    // here, on the submitting thread: replaying it is O(n) however hard
+    // the matrix once was, so it takes no admission decision, queue slot,
+    // journal entry or worker.
+    int N = J.Request.Matrix.size();
+    if (J.Form && Options.CacheBytes > 0 && J.Request.UseCache && N > 1 &&
+        N <= Options.MaxSpecies) {
+      J.WholeKey = wholeCacheKey(*J.Form, J.Request);
+      J.WholeBytes = wholeCacheBytes(std::move(J.Form->Bytes), J.Request);
+      if (ShardedLruCache::Entry Hit =
+              Cache.lookup(J.WholeKey, J.WholeBytes)) {
+        Obs.Submitted.inc();
+        QosObs.TierExact.inc();
+        BuildResponse Resp;
+        replayWhole(*Hit, J.Request.Matrix, J.Form->Perm, J.Request,
+                    J.SubmitTime, Resp);
+        answerJob(std::move(J), std::move(Resp));
         return Future;
       }
-      J.Tier = V.Tier;
+    }
+    qos::DifficultyProfile Profile =
+        J.Form ? Cost.profileFor(J.Form->Key, J.Request.Matrix)
+               : qos::CostModel::generatorProfile(J.Request.GenSpecies);
+    double RemainingMillis =
+        J.Request.DeadlineMillis > 0
+            ? static_cast<double>(J.Request.DeadlineMillis)
+            : -1.0;
+    qos::Verdict V = Admission.assess(J.Request, Profile, RemainingMillis);
+    if (!V.Admit) {
+      if (V.Error == ServiceError::RateLimited)
+        QosObs.RateLimited.inc();
+      else
+        QosObs.Shed.inc();
+      // Echo the prediction that justified the rejection: the client
+      // can tell a hopeless deadline apart from a drained bucket.
       J.PredictedMillis = V.PredictedMillis;
-      J.PredictedNodes = V.PredictedNodes;
-      if (V.Tier == QosTier::Pipeline) {
-        // The degraded tier *is* the request with a tighter exact cap;
-        // the clamp travels with the job (and with a lent copy).
-        J.Request.MaxExactBlockSize =
-            std::min(std::max(1, J.Request.MaxExactBlockSize),
-                     std::max(1, Options.Qos.DegradedMaxExactBlockSize));
-      }
+      reject(V.Error, std::move(V.Message));
+      return Future;
+    }
+    J.Tier = V.Tier;
+    J.PredictedMillis = V.PredictedMillis;
+    J.PredictedNodes = V.PredictedNodes;
+    if (V.Tier == QosTier::Pipeline) {
+      // The degraded tier *is* the request with a tighter exact cap;
+      // the clamp travels with the job (and with a lent copy).
+      J.Request.MaxExactBlockSize =
+          std::min(std::max(1, J.Request.MaxExactBlockSize),
+                   std::max(1, Options.Qos.DegradedMaxExactBlockSize));
     }
     switch (J.Tier) {
     case QosTier::Exact:
@@ -496,6 +507,7 @@ std::string TreeService::statsJson() const {
   Out += ",\"coalesced\":" + u64(S.Coalesced);
   Out += ",\"queue_depth\":" + u64(S.QueueDepth);
   Out += ",\"cache_entries\":" + u64(S.CacheEntries);
+  Out += ",\"cache_bytes\":" + u64(Cache.bytes());
   Out += ",\"p50_ms\":" + f64(S.P50Millis);
   Out += ",\"p95_ms\":" + f64(S.P95Millis);
   Out += "}";
@@ -584,22 +596,11 @@ bool TreeService::completeLentJob(std::uint64_t Token,
     J = std::move(It->second);
     Lent.erase(It);
   }
-  double TotalMillis =
-      std::chrono::duration<double, std::milli>(Clock::now() - J.SubmitTime)
-          .count();
-  if (Response.ok()) {
-    Obs.Completed.inc();
-    Obs.RequestOkMillis.record(TotalMillis);
-  } else {
-    Obs.Failed.inc();
-    Obs.RequestErrorMillis.record(TotalMillis);
-  }
-  Latency.record(TotalMillis);
   // The thief solved the (possibly tier-clamped) request but knows
   // nothing of the QoS metadata; restore the echo before fan-out.
   Response.Tier = J.Tier;
   Response.PredictedMillis = J.PredictedMillis;
-  resolveJob(std::move(J), std::move(Response));
+  answerJob(std::move(J), std::move(Response));
   return true;
 }
 
@@ -645,16 +646,16 @@ std::size_t TreeService::lentJobCount() const {
   return Lent.size();
 }
 
-std::optional<CachedSolution>
+ShardedLruCache::Entry
 TreeService::cacheLookup(std::uint64_t Key,
                          const std::vector<std::uint8_t> &Bytes) {
-  if (Options.CacheCapacity == 0)
-    return std::nullopt;
+  if (Options.CacheBytes == 0)
+    return nullptr;
   return Cache.lookup(Key, Bytes);
 }
 
 void TreeService::cacheStore(std::uint64_t Key, CachedSolution Value) {
-  if (Options.CacheCapacity == 0)
+  if (Options.CacheBytes == 0)
     return;
   persistSolution(Key, Value);
   Cache.store(Key, std::move(Value));
@@ -698,22 +699,55 @@ void TreeService::workerLoop() {
         QosObs.ActualMillis.record(Resp.SolveMillis);
       }
     }
-    double TotalMillis = std::chrono::duration<double, std::milli>(
-                             Clock::now() - J->SubmitTime)
-                             .count();
-    if (Resp.ok()) {
-      Obs.Completed.inc();
-      Obs.RequestOkMillis.record(TotalMillis);
-    } else {
-      Obs.Failed.inc();
-      Obs.RequestErrorMillis.record(TotalMillis);
-      obs::log(obs::LogLevel::Debug, "service", "job answered with error")
-          .kv("error", serviceErrorName(Resp.Error))
-          .kv("total_ms", TotalMillis);
-    }
-    Latency.record(TotalMillis);
-    resolveJob(std::move(*J), std::move(Resp));
+    answerJob(std::move(*J), std::move(Resp));
   }
+}
+
+void TreeService::answerJob(Job &&J, BuildResponse Resp) {
+  double TotalMillis =
+      std::chrono::duration<double, std::milli>(Clock::now() - J.SubmitTime)
+          .count();
+  if (Resp.ok()) {
+    Obs.Completed.inc();
+    Obs.RequestOkMillis.record(TotalMillis);
+  } else {
+    Obs.Failed.inc();
+    Obs.RequestErrorMillis.record(TotalMillis);
+    obs::log(obs::LogLevel::Debug, "service", "job answered with error")
+        .kv("error", serviceErrorName(Resp.Error))
+        .kv("total_ms", TotalMillis);
+  }
+  Latency.record(TotalMillis);
+  resolveJob(std::move(J), std::move(Resp));
+}
+
+void TreeService::replayWhole(const CachedSolution &Hit,
+                              const DistanceMatrix &M,
+                              const std::vector<int> &Perm,
+                              [[maybe_unused]] const BuildRequest &Request,
+                              Clock::time_point Start, BuildResponse &Resp) {
+  Obs.WholeHits.inc();
+  PhyloTree Tree = relabelLeaves(Hit.Tree, Perm);
+  Tree.setNames(M.names());
+  // A replayed tree must be exactly as good as a fresh solve: same leaf
+  // set, ultrametric, and (exact entries are stored only for the
+  // feasibility-guaranteeing Maximum mode knobs that are part of the key)
+  // dominating the request matrix. Remote entries get the same scrutiny
+  // — a peer's cache is no more trusted than ours.
+  MUTK_AUDIT(Tree.numLeaves() == M.size(),
+             "cache replay must cover every requested species");
+  MUTK_AUDIT(Tree.hasMonotoneHeights(),
+             "cache replay must stay ultrametric after relabeling");
+  MUTK_AUDIT(M.size() > MaxAuditedSpecies ||
+                 Request.Mode != CondenseMode::Maximum || !Hit.Exact ||
+                 Tree.dominatesMatrix(M),
+             "cache replay must dominate the request matrix");
+  Resp.Newick = toNewick(Tree);
+  Resp.Cost = Hit.Cost;
+  Resp.Exact = Hit.Exact;
+  Resp.CacheHit = true;
+  Resp.SolveMillis =
+      std::chrono::duration<double, std::milli>(Clock::now() - Start).count();
 }
 
 BuildResponse TreeService::process(Job &J) {
@@ -785,49 +819,30 @@ BuildResponse TreeService::process(Job &J) {
     return Resp;
   }
 
-  // Whole-matrix cache probe: local tier, then (when clustered) the
-  // owning peer's shard.
-  bool CacheOn = Options.CacheCapacity > 0 && Request.UseCache;
+  // Whole-matrix cache probe: local tier (unless admission already
+  // missed it), then (when clustered) the owning peer's shard.
+  bool CacheOn = Options.CacheBytes > 0 && Request.UseCache;
   CanonicalForm Form;
   if (CacheOn) {
     Form = J.Form ? std::move(*J.Form) : canonicalForm(M);
-    std::vector<std::uint8_t> Identity = wholeCacheBytes(Form, Request);
-    std::uint64_t Key = wholeCacheKey(Form, Request);
-    auto replay = [&](const CachedSolution &Hit) {
-      Obs.WholeHits.inc();
-      PhyloTree Tree = relabelLeaves(Hit.Tree, Form.Perm);
-      Tree.setNames(M.names());
-      // A replayed tree must be exactly as good as a fresh solve: same
-      // leaf set, ultrametric, and (exact entries are stored only for
-      // the feasibility-guaranteeing Maximum mode knobs that are part
-      // of the key) dominating the request matrix. Remote entries get
-      // the same scrutiny — a peer's cache is no more trusted than ours.
-      MUTK_AUDIT(Tree.numLeaves() == M.size(),
-                 "cache replay must cover every requested species");
-      MUTK_AUDIT(Tree.hasMonotoneHeights(),
-                 "cache replay must stay ultrametric after relabeling");
-      MUTK_AUDIT(M.size() > MaxAuditedSpecies ||
-                     Request.Mode != CondenseMode::Maximum ||
-                     !Hit.Exact || Tree.dominatesMatrix(M),
-                 "cache replay must dominate the request matrix");
-      Resp.Newick = toNewick(Tree);
-      Resp.Cost = Hit.Cost;
-      Resp.Exact = Hit.Exact;
-      Resp.CacheHit = true;
-      Resp.SolveMillis = std::chrono::duration<double, std::milli>(
-                             Clock::now() - Start)
-                             .count();
-      return Resp;
-    };
-    if (std::optional<CachedSolution> Hit = Cache.lookup(Key, Identity))
-      return replay(*Hit);
+    if (J.WholeBytes.empty()) {
+      J.WholeKey = wholeCacheKey(Form, Request);
+      J.WholeBytes = wholeCacheBytes(std::move(Form.Bytes), Request);
+      if (ShardedLruCache::Entry Hit =
+              Cache.lookup(J.WholeKey, J.WholeBytes)) {
+        replayWhole(*Hit, M, Form.Perm, Request, Start, Resp);
+        return Resp;
+      }
+    }
     Obs.WholeMisses.inc();
     if (DistCache *Cluster = Remote.load(std::memory_order_acquire)) {
       if (std::optional<CachedSolution> Hit =
-              Cluster->lookup(Key, Identity, CacheTier::Whole)) {
+              Cluster->lookup(J.WholeKey, J.WholeBytes, CacheTier::Whole)) {
         // Adopt the shard's entry locally so the next probe stays here.
-        Cache.store(Key, *Hit);
-        return replay(*Hit);
+        auto Entry = std::make_shared<const CachedSolution>(std::move(*Hit));
+        Cache.store(J.WholeKey, Entry);
+        replayWhole(*Entry, M, Form.Perm, Request, Start, Resp);
+        return Resp;
       }
     }
   }
@@ -903,15 +918,15 @@ BuildResponse TreeService::process(Job &J) {
     std::vector<int> Inverse(Form.Perm.size());
     for (std::size_t K = 0; K < Form.Perm.size(); ++K)
       Inverse[static_cast<std::size_t>(Form.Perm[K])] = static_cast<int>(K);
-    CachedSolution Entry;
-    Entry.Cost = Resp.Cost;
-    Entry.Exact = Resp.Exact;
-    Entry.Bytes = wholeCacheBytes(Form, Request);
-    Entry.Tree = relabelLeaves(SolvedTree, Inverse);
-    persistSolution(wholeCacheKey(Form, Request), Entry);
+    auto Entry = std::make_shared<CachedSolution>();
+    Entry->Cost = Resp.Cost;
+    Entry->Exact = Resp.Exact;
+    Entry->Bytes = std::move(J.WholeBytes);
+    Entry->Tree = relabelLeaves(SolvedTree, Inverse);
+    persistSolution(J.WholeKey, *Entry);
     if (DistCache *Cluster = Remote.load(std::memory_order_acquire))
-      Cluster->insert(wholeCacheKey(Form, Request), Entry, CacheTier::Whole);
-    Cache.store(wholeCacheKey(Form, Request), std::move(Entry));
+      Cluster->insert(J.WholeKey, *Entry, CacheTier::Whole);
+    Cache.store(J.WholeKey, std::move(Entry));
   }
   return Resp;
 }
@@ -961,22 +976,23 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
   // the owning peer's shard.
   std::uint32_t LocalBlockHits = 0;
   BlockCacheHooks Hooks;
-  bool CacheOn = Options.CacheCapacity > 0 && Request.UseCache;
+  bool CacheOn = Options.CacheBytes > 0 && Request.UseCache;
   if (CacheOn) {
     Hooks.Lookup = [&](std::uint64_t Key,
                        const std::vector<std::uint8_t> &Bytes)
         -> std::optional<BlockCacheEntry> {
       obs::BlockCacheInstruments &BC = obs::blockCacheInstruments();
-      std::optional<CachedSolution> Hit = Cache.lookup(Key, Bytes);
+      ShardedLruCache::Entry Hit = Cache.lookup(Key, Bytes);
       if (!Hit) {
         if (DistCache *Cluster = Remote.load(std::memory_order_acquire)) {
           if (canonicalSpeciesCount(Bytes) >= Options.RemoteBlockMinSize) {
             BC.RemoteLookups.inc();
-            Hit = Cluster->lookup(Key, Bytes, CacheTier::Block);
-            if (Hit) {
+            if (std::optional<CachedSolution> Peer =
+                    Cluster->lookup(Key, Bytes, CacheTier::Block)) {
               BC.RemoteHits.inc();
               // Adopt the peer's subtree so the next probe stays local.
-              Cache.store(Key, *Hit);
+              Hit = std::make_shared<const CachedSolution>(std::move(*Peer));
+              Cache.store(Key, Hit);
             }
           }
         }
@@ -988,7 +1004,7 @@ BuildResponse TreeService::solveFresh(const DistanceMatrix &M,
       BC.Hits.inc();
       ++LocalBlockHits;
       BlockCacheEntry Entry;
-      Entry.Tree = std::move(Hit->Tree);
+      Entry.Tree = Hit->Tree;
       Entry.Cost = Hit->Cost;
       Entry.Exact = Hit->Exact;
       return Entry;

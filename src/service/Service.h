@@ -81,8 +81,11 @@ public:
 struct ServiceOptions {
   int NumWorkers = 4;
   std::size_t QueueCapacity = 256;
-  /// Total cache entries across shards (0 disables caching).
-  std::size_t CacheCapacity = 1024;
+  /// Result-cache budget in bytes across shards, whole-matrix and block
+  /// entries together (0 disables caching). Each entry is charged
+  /// `ShardedLruCache::charge`; an entry larger than one shard's share
+  /// (`CacheBytes / CacheShards`) is never cached.
+  std::size_t CacheBytes = std::size_t{16} << 20;
   int CacheShards = 8;
   /// Deadline-to-budget conversion: a request with `DeadlineMillis = d`
   /// gets a per-block node budget of `d * NodesPerMilli` (tighter of
@@ -178,7 +181,9 @@ public:
   TreeService &operator=(const TreeService &) = delete;
 
   /// Enqueues a job; the future resolves when a worker answers it (every
-  /// admitted job is answered, even across shutdown).
+  /// admitted job is answered, even across shutdown). Under QoS a request
+  /// whose whole-matrix answer is cached is answered here instead, on the
+  /// calling thread, and its future is ready on return.
   std::future<BuildResponse> submitAsync(BuildRequest Request);
 
   /// Synchronous convenience wrapper around `submitAsync`.
@@ -243,8 +248,8 @@ public:
   /// Direct result-cache access for serving remote peers' shard
   /// lookups/inserts (collision-checked like any local access; stores
   /// also reach the durable tier). No-ops / misses when caching is off.
-  std::optional<CachedSolution>
-  cacheLookup(std::uint64_t Key, const std::vector<std::uint8_t> &Bytes);
+  ShardedLruCache::Entry cacheLookup(std::uint64_t Key,
+                                     const std::vector<std::uint8_t> &Bytes);
   void cacheStore(std::uint64_t Key, CachedSolution Value);
 
   /// Jobs being solved by workers right now (steal-idleness probe).
@@ -286,10 +291,27 @@ private:
     std::uint64_t CoalesceKey = 0;
     /// Canonical form of `Request.Matrix`, computed once at admission
     /// when QoS is on; empty for generated, recovered or QoS-off jobs.
+    /// Its `Bytes` move into `WholeBytes` once that is built.
     std::optional<CanonicalForm> Form;
+    /// Whole-matrix cache identity (the canonical bytes extended by the
+    /// knobs that change the merged tree), built once per job and moved
+    /// into the stored entry. Non-empty on a dequeued job when admission
+    /// already probed the local cache and missed: the worker then asks
+    /// only the remote tier.
+    std::uint64_t WholeKey = 0;
+    std::vector<std::uint8_t> WholeBytes;
   };
 
   void workerLoop();
+  /// Counts \p J's end-to-end latency and outcome, then resolves it.
+  void answerJob(Job &&J, BuildResponse Resp);
+  /// Answers \p M into \p Resp from the whole-matrix entry \p Hit:
+  /// relabels its canonical tree through \p Perm onto \p M's species
+  /// and names and audits it like a fresh solve. Shared by admission and
+  /// the worker; \p Start is when the answer began (for `SolveMillis`).
+  void replayWhole(const CachedSolution &Hit, const DistanceMatrix &M,
+                   const std::vector<int> &Perm, const BuildRequest &Request,
+                   Clock::time_point Start, BuildResponse &Resp);
   void recoverState();
   void persistSolution(std::uint64_t Key, const CachedSolution &Value);
   void journalCompleted(std::uint64_t JournalId);

@@ -66,6 +66,8 @@ public:
 
   int root() const { return Root; }
   int numNodes() const { return static_cast<int>(Nodes.size()); }
+  /// Nodes the tree's storage holds room for (memory accounting).
+  std::size_t nodeCapacity() const { return Nodes.capacity(); }
 
   const PhyloNode &node(int Index) const {
     assert(Index >= 0 && Index < numNodes() && "node out of range");

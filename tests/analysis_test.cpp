@@ -1,9 +1,7 @@
 //===- tests/analysis_test.cpp - Profiles & ASCII rendering -----*- C++ -*-===//
 
-#include "analysis/DotExport.h"
 #include "analysis/Profile.h"
 #include "bnb/SequentialBnb.h"
-#include "graph/Mst.h"
 #include "matrix/Generators.h"
 #include "tree/AsciiTree.h"
 #include "tree/Newick.h"
@@ -130,51 +128,6 @@ TEST(AsciiTree, HeightsShownWhenRequested) {
 TEST(AsciiTree, EmptyTree) {
   PhyloTree T;
   EXPECT_EQ(toAsciiTree(T), "(empty tree)\n");
-}
-
-TEST(DotExport, TreeDigraphHasAllLeavesAndEdges) {
-  DistanceMatrix M = plantedClusterMetric(6, 2);
-  MutResult R = solveMutSequential(M);
-  std::string Dot = toTreeDot(R.Tree, "mut");
-  EXPECT_NE(Dot.find("digraph \"mut\""), std::string::npos);
-  for (int I = 0; I < 6; ++I)
-    EXPECT_NE(Dot.find("\"s" + std::to_string(I) + "\""), std::string::npos);
-  // A binary tree over 6 leaves has 10 directed edges.
-  int Arrows = 0;
-  for (std::size_t Pos = Dot.find("->"); Pos != std::string::npos;
-       Pos = Dot.find("->", Pos + 2))
-    ++Arrows;
-  EXPECT_EQ(Arrows, 10);
-}
-
-TEST(DotExport, EmptyTreeStillValidDot) {
-  PhyloTree T;
-  std::string Dot = toTreeDot(T);
-  EXPECT_NE(Dot.find("digraph"), std::string::npos);
-  EXPECT_NE(Dot.find('}'), std::string::npos);
-}
-
-TEST(DotExport, MstGraphClustersMaximalCompactSets) {
-  DistanceMatrix M = plantedClusterMetric(10, 4);
-  auto Sets = findCompactSets(M);
-  ASSERT_FALSE(Sets.empty());
-  std::string Dot = toMstDot(M, sortedMst(M), Sets);
-  EXPECT_NE(Dot.find("graph \"mst\""), std::string::npos);
-  EXPECT_NE(Dot.find("subgraph cluster_0"), std::string::npos);
-  // Undirected edges: n - 1 of them.
-  int Edges = 0;
-  for (std::size_t Pos = Dot.find("--"); Pos != std::string::npos;
-       Pos = Dot.find("--", Pos + 2))
-    ++Edges;
-  EXPECT_EQ(Edges, 9);
-}
-
-TEST(DotExport, QuotesEscapedInNames) {
-  PhyloTree T;
-  T.addInternal(T.addLeaf(0), T.addLeaf(1), 1.0);
-  T.setNames({"we\"ird", "ok"});
-  std::string Dot = toTreeDot(T);
-  EXPECT_NE(Dot.find("we\\\"ird"), std::string::npos);
 }
 
 TEST(AsciiTree, BarsConnectSiblings) {

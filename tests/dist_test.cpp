@@ -710,7 +710,7 @@ TEST(Cluster, BlockSolvedOnOnePeerServesAnother) {
   EXPECT_TRUE(First.Exact);
 
   ASSERT_TRUE(waitFor(5.0, [&] {
-    return C.Services[1]->cacheLookup(SharedKey, SharedBytes).has_value() ||
+    return C.Services[1]->cacheLookup(SharedKey, SharedBytes) != nullptr ||
            C.Nodes[1]->lookup(SharedKey, SharedBytes, CacheTier::Block)
                .has_value();
   })) << "shared block never became reachable from node 1";
@@ -725,7 +725,7 @@ TEST(Cluster, BlockSolvedOnOnePeerServesAnother) {
   // Reuse across the ring must not change the answer.
   ServiceOptions ColdOptions;
   ColdOptions.NumWorkers = 1;
-  ColdOptions.CacheCapacity = 0;
+  ColdOptions.CacheBytes = 0;
   TreeService Cold(ColdOptions);
   BuildResponse ColdResp = Cold.submit(inlineRequest(Y));
   ASSERT_TRUE(ColdResp.ok()) << ColdResp.Message;

@@ -238,7 +238,7 @@ TEST(BlockCache, SecondRequestReusesSharedModuleBlocks) {
   // byte-identical tree for Y.
   ServiceOptions ColdOptions;
   ColdOptions.NumWorkers = 1;
-  ColdOptions.CacheCapacity = 0;
+  ColdOptions.CacheBytes = 0;
   TreeService Cold(ColdOptions);
   BuildResponse ColdY = solveOn(Cold, Y);
   EXPECT_EQ(ColdY.Newick, RespY.Newick);
@@ -301,7 +301,7 @@ TEST(Incremental, PerturbedEntryResolvesOnlyTheDirtyModule) {
   // The reused blocks must not change the answer.
   ServiceOptions ColdOptions;
   ColdOptions.NumWorkers = 1;
-  ColdOptions.CacheCapacity = 0;
+  ColdOptions.CacheBytes = 0;
   TreeService Cold(ColdOptions);
   BuildResponse ColdResp = solveOn(Cold, M);
   EXPECT_EQ(ColdResp.Newick, Resp.Newick);
@@ -343,7 +343,7 @@ TEST(Incremental, OneTaxonPerturbationResolvesOnlyAffectedBlocks) {
 
   ServiceOptions ColdOptions;
   ColdOptions.NumWorkers = 1;
-  ColdOptions.CacheCapacity = 0;
+  ColdOptions.CacheBytes = 0;
   TreeService Cold(ColdOptions);
   BuildResponse ColdResp = solveOn(Cold, M);
   EXPECT_EQ(ColdResp.Newick, Resp.Newick);

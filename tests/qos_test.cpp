@@ -24,8 +24,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -686,6 +688,119 @@ TEST(QosService, CoalescesIdenticalInFlightRequests) {
   // Followers never occupied a queue slot or ran a solve: the solver
   // answered the leader once (the cache saw at most that one insert).
   EXPECT_EQ(S.Completed, 2u) << "blocker + leader only";
+}
+
+namespace {
+
+/// A remote cache tier that never hits and, once armed, holds the next
+/// worker that probes it until released: a worker that is provably busy.
+class HoldingDistCache : public DistCache {
+public:
+  std::optional<CachedSolution> lookup(std::uint64_t,
+                                       const std::vector<std::uint8_t> &,
+                                       CacheTier) override {
+    std::unique_lock<std::mutex> Lock(Mu);
+    if (Armed) {
+      Armed = false;
+      Held = true;
+      Cv.notify_all();
+      Cv.wait(Lock, [&] { return Released; });
+    }
+    return std::nullopt;
+  }
+  void insert(std::uint64_t, const CachedSolution &, CacheTier) override {}
+
+  void arm() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Armed = true;
+  }
+  void waitHeld() {
+    std::unique_lock<std::mutex> Lock(Mu);
+    Cv.wait(Lock, [&] { return Held; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Released = true;
+    Cv.notify_all();
+  }
+
+private:
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Armed = false;
+  bool Held = false;
+  bool Released = false;
+};
+
+} // namespace
+
+// A warm repeat is answered at admission, on the submitting thread: with
+// the only worker held inside a solve it still comes back at once, and it
+// counts one whole hit and one completion but never waits in the queue.
+TEST(QosService, WarmRepeatIsAnsweredAtAdmission) {
+  ServiceOptions Options;
+  Options.NumWorkers = 1;
+  Options.Qos.Enabled = true;
+  HoldingDistCache Remote;
+  TreeService Service(Options);
+  Service.setDistCache(&Remote);
+  // Declared after the service, so a failed assertion releases the held
+  // worker before the service joins it.
+  struct ReleaseOnExit {
+    HoldingDistCache &H;
+    ~ReleaseOnExit() { H.release(); }
+  } Release{Remote};
+
+  DistanceMatrix Hot = bandMatrix(12, 5.0, 9.0, 41);
+  BuildRequest First;
+  First.Matrix = Hot;
+  BuildResponse Cold = Service.submit(std::move(First));
+  ASSERT_TRUE(Cold.ok()) << Cold.Message;
+  ASSERT_TRUE(Cold.Exact);
+  ASSERT_FALSE(Cold.CacheHit);
+
+  // The worker takes the blocker and stops inside its remote probe.
+  Remote.arm();
+  BuildRequest Blocker;
+  Blocker.Matrix = bandMatrix(12, 5.0, 9.0, 43);
+  std::future<BuildResponse> BlockerDone =
+      Service.submitAsync(std::move(Blocker));
+  Remote.waitHeld();
+
+  obs::ServiceInstruments &Svc = obs::serviceInstruments();
+  std::uint64_t HitsBefore = Svc.WholeHits.value();
+  std::uint64_t CompletedBefore = Svc.Completed.value();
+  std::uint64_t QueueWaitsBefore = Svc.QueueWaitMillis.count();
+
+  // A relabeled repeat: the same matrix with its species reversed.
+  std::vector<int> Reverse(static_cast<std::size_t>(Hot.size()));
+  for (int I = 0; I < Hot.size(); ++I)
+    Reverse[static_cast<std::size_t>(I)] = Hot.size() - 1 - I;
+  BuildRequest Repeat;
+  Repeat.Matrix = Hot.permuted(Reverse);
+  std::future<BuildResponse> WarmDone = Service.submitAsync(std::move(Repeat));
+  ASSERT_EQ(WarmDone.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "a warm repeat must not queue behind the busy worker";
+  EXPECT_EQ(BlockerDone.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  BuildResponse Warm = WarmDone.get();
+  ASSERT_TRUE(Warm.ok()) << Warm.Message;
+  EXPECT_TRUE(Warm.CacheHit);
+  EXPECT_TRUE(Warm.Exact);
+  EXPECT_EQ(Warm.Cost, Cold.Cost);
+  EXPECT_EQ(Warm.QueueMillis, 0.0);
+  EXPECT_EQ(Service.queueDepth(), 0u);
+  EXPECT_EQ(Svc.WholeHits.value() - HitsBefore, 1u);
+  EXPECT_EQ(Svc.Completed.value() - CompletedBefore, 1u);
+  EXPECT_EQ(Svc.QueueWaitMillis.count() - QueueWaitsBefore, 0u);
+
+  Remote.release();
+  BuildResponse BlockerResp = BlockerDone.get();
+  EXPECT_TRUE(BlockerResp.ok()) << BlockerResp.Message;
+  EXPECT_FALSE(BlockerResp.CacheHit);
+  Service.stop();
+  Service.setDistCache(nullptr);
 }
 
 // Satellite: coalesced fan-out under concurrent submit and shutdown.

@@ -3,7 +3,6 @@
 #include "matrix/MetricUtils.h"
 #include "seq/EditDistance.h"
 #include "seq/EvolutionSim.h"
-#include "seq/Fasta.h"
 #include "support/Rng.h"
 #include "tree/RobinsonFoulds.h"
 
@@ -203,55 +202,6 @@ TEST(EvolutionSim, CloserInTreeMeansSmallerDistanceOnAverage) {
   ASSERT_GT(CountShallow, 0);
   ASSERT_GT(CountDeep, 0);
   EXPECT_LT(SumShallow / CountShallow, SumDeep / CountDeep);
-}
-
-TEST(Fasta, RoundTrip) {
-  std::vector<FastaRecord> Records = {
-      {"dna0 synthetic", std::string(150, 'A') + std::string(30, 'C')},
-      {"dna1", "ACGT"},
-  };
-  auto Back = fastaFromString(fastaToString(Records));
-  ASSERT_TRUE(Back.has_value());
-  ASSERT_EQ(Back->size(), 2u);
-  EXPECT_EQ((*Back)[0].Name, "dna0 synthetic");
-  EXPECT_EQ((*Back)[0].Sequence, Records[0].Sequence);
-  EXPECT_EQ((*Back)[1].Sequence, "ACGT");
-}
-
-TEST(Fasta, WrapsAtSeventyColumns) {
-  std::vector<FastaRecord> Records = {{"x", std::string(150, 'G')}};
-  std::string Text = fastaToString(Records);
-  // 1 header + 3 sequence lines (70 + 70 + 10).
-  EXPECT_EQ(std::count(Text.begin(), Text.end(), '\n'), 4);
-}
-
-TEST(Fasta, ParserNormalizesCaseAndWhitespace) {
-  auto Records = fastaFromString(">seq one\r\nac gt\nACGT\n\n>two\ntt\n");
-  ASSERT_TRUE(Records.has_value());
-  EXPECT_EQ((*Records)[0].Name, "seq one");
-  EXPECT_EQ((*Records)[0].Sequence, "ACGTACGT");
-  EXPECT_EQ((*Records)[1].Sequence, "TT");
-}
-
-TEST(Fasta, RejectsMalformedInput) {
-  std::string Error;
-  EXPECT_FALSE(fastaFromString("ACGT\n>late\n", &Error).has_value());
-  EXPECT_NE(Error.find("before the first"), std::string::npos);
-  EXPECT_FALSE(fastaFromString("", &Error).has_value());
-}
-
-TEST(Fasta, FileRoundTripWithSimulatedData) {
-  EvolutionResult Sim = simulateEvolution(6, 3);
-  std::vector<FastaRecord> Records;
-  for (std::size_t I = 0; I < Sim.Sequences.size(); ++I)
-    Records.push_back(FastaRecord{Sim.Names[I], Sim.Sequences[I]});
-  std::string Path = testing::TempDir() + "mutk_fasta_test.fa";
-  ASSERT_TRUE(writeFastaFile(Path, Records));
-  auto Back = readFastaFile(Path);
-  ASSERT_TRUE(Back.has_value());
-  ASSERT_EQ(Back->size(), 6u);
-  for (std::size_t I = 0; I < 6; ++I)
-    EXPECT_EQ((*Back)[I].Sequence, Sim.Sequences[I]);
 }
 
 // Property: fast edit distance equals the full DP across length scales.

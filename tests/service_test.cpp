@@ -186,53 +186,155 @@ CachedSolution solutionWithCost(double Cost,
   return S;
 }
 
+/// Test-local instruments for one cache.
+struct TestCacheInstruments {
+  obs::Counter Hits, Misses, Evictions, Oversized;
+  obs::Gauge Bytes;
+  obs::CacheInstruments Counts{Hits, Misses, Evictions, Oversized, Bytes};
+};
+
+/// Budget for a handful of small entries per shard.
+constexpr std::size_t RoomyBudget = std::size_t{1} << 20;
+
 } // namespace
 
 TEST(ShardedLruCache, StoreAndLookup) {
-  ShardedLruCache Cache(16, 4);
-  obs::Counter Hits, Misses, Evictions;
-  obs::CacheInstruments Counts{Hits, Misses, Evictions};
-  Cache.setInstruments(&Counts, {});
+  ShardedLruCache Cache(RoomyBudget, 4);
+  TestCacheInstruments I;
+  Cache.setInstruments(&I.Counts, {});
   Cache.store(7, solutionWithCost(1.5, {1, 2, 3}));
   auto Hit = Cache.lookup(7, {1, 2, 3});
-  ASSERT_TRUE(Hit.has_value());
+  ASSERT_TRUE(Hit);
   EXPECT_DOUBLE_EQ(Hit->Cost, 1.5);
-  EXPECT_FALSE(Cache.lookup(8, {1, 2, 3}).has_value());
-  EXPECT_EQ(Hits.value(), 1u);
-  EXPECT_EQ(Misses.value(), 1u);
+  EXPECT_FALSE(Cache.lookup(8, {1, 2, 3}));
+  EXPECT_EQ(I.Hits.value(), 1u);
+  EXPECT_EQ(I.Misses.value(), 1u);
 }
 
 TEST(ShardedLruCache, HashCollisionIsAMissNotAWrongTree) {
-  ShardedLruCache Cache(16, 4);
+  ShardedLruCache Cache(RoomyBudget, 4);
   Cache.store(7, solutionWithCost(1.5, {1, 2, 3}));
   // Same key, different canonical bytes: must refuse the entry.
-  EXPECT_FALSE(Cache.lookup(7, {9, 9, 9}).has_value());
+  EXPECT_FALSE(Cache.lookup(7, {9, 9, 9}));
 }
 
 TEST(ShardedLruCache, EvictsLeastRecentlyUsed) {
-  ShardedLruCache Cache(2, 1); // single shard, two entries
-  obs::Counter Hits, Misses, Evictions;
-  obs::CacheInstruments Counts{Hits, Misses, Evictions};
-  Cache.setInstruments(&Counts, {});
+  // Single shard with room for exactly two of the (equal-charge) entries.
+  ShardedLruCache Cache(
+      2 * ShardedLruCache::charge(solutionWithCost(1, {1})), 1);
+  TestCacheInstruments I;
+  Cache.setInstruments(&I.Counts, {});
   Cache.store(1, solutionWithCost(1, {1}));
   Cache.store(2, solutionWithCost(2, {2}));
-  ASSERT_TRUE(Cache.lookup(1, {1}).has_value()); // 1 now most recent
-  Cache.store(3, solutionWithCost(3, {3}));      // evicts 2
-  EXPECT_TRUE(Cache.lookup(1, {1}).has_value());
-  EXPECT_FALSE(Cache.lookup(2, {2}).has_value());
-  EXPECT_TRUE(Cache.lookup(3, {3}).has_value());
-  EXPECT_EQ(Evictions.value(), 1u);
+  ASSERT_TRUE(Cache.lookup(1, {1}));        // 1 now most recent
+  Cache.store(3, solutionWithCost(3, {3})); // evicts 2
+  EXPECT_TRUE(Cache.lookup(1, {1}));
+  EXPECT_FALSE(Cache.lookup(2, {2}));
+  EXPECT_TRUE(Cache.lookup(3, {3}));
+  EXPECT_EQ(I.Evictions.value(), 1u);
   EXPECT_EQ(Cache.size(), 2u);
 }
 
+// One large entry displaces as many small ones as its charge needs: the
+// budget bounds bytes, not entries.
+TEST(ShardedLruCache, LargeEntryEvictsByBytes) {
+  CachedSolution Small = solutionWithCost(1, {1});
+  CachedSolution Large =
+      solutionWithCost(9, std::vector<std::uint8_t>(500, 9));
+  std::size_t Unit = ShardedLruCache::charge(Small);
+  ASSERT_GT(ShardedLruCache::charge(Large), 3 * Unit);
+  ASSERT_LT(ShardedLruCache::charge(Large), 4 * Unit);
+  ShardedLruCache Cache(6 * Unit, 1);
+  TestCacheInstruments I;
+  Cache.setInstruments(&I.Counts, {});
+  for (std::uint8_t K = 1; K <= 6; ++K)
+    Cache.store(K, solutionWithCost(K, {K}));
+  Cache.store(100, Large); // needs the room of four small entries
+  EXPECT_EQ(I.Evictions.value(), 4u);
+  EXPECT_EQ(Cache.size(), 3u);
+  for (std::uint8_t K = 1; K <= 4; ++K)
+    EXPECT_FALSE(Cache.lookup(K, {K})) << int(K);
+  EXPECT_TRUE(Cache.lookup(5, {5}));
+  EXPECT_TRUE(Cache.lookup(6, {6}));
+  EXPECT_TRUE(Cache.lookup(100, Large.Bytes));
+  EXPECT_EQ(Cache.bytes(), 2 * Unit + ShardedLruCache::charge(Large));
+}
+
+TEST(ShardedLruCache, OversizedEntryIsRefusedAndCountedOnce) {
+  CachedSolution Small = solutionWithCost(1, {1});
+  ShardedLruCache Cache(2 * ShardedLruCache::charge(Small), 1);
+  TestCacheInstruments I;
+  Cache.setInstruments(&I.Counts, {});
+  Cache.store(1, Small);
+  Cache.store(2, solutionWithCost(2, {2}));
+  CachedSolution Huge =
+      solutionWithCost(3, std::vector<std::uint8_t>(4096, 3));
+  ASSERT_GT(ShardedLruCache::charge(Huge), 2 * ShardedLruCache::charge(Small));
+  Cache.store(3, Huge);
+  // Refused without touching what was resident: nothing evicted, one
+  // oversized event, and a probe for it misses.
+  EXPECT_EQ(I.Oversized.value(), 1u);
+  EXPECT_EQ(I.Evictions.value(), 0u);
+  EXPECT_FALSE(Cache.lookup(3, Huge.Bytes));
+  EXPECT_TRUE(Cache.lookup(1, {1}));
+  EXPECT_TRUE(Cache.lookup(2, {2}));
+  EXPECT_EQ(Cache.size(), 2u);
+  EXPECT_EQ(Cache.bytes(), 2 * ShardedLruCache::charge(Small));
+  // A budget of zero stores nothing at all.
+  ShardedLruCache Off(0, 4);
+  Off.store(1, Small);
+  EXPECT_EQ(Off.size(), 0u);
+}
+
 TEST(ShardedLruCache, ClearEmpties) {
-  ShardedLruCache Cache(16, 4);
+  ShardedLruCache Cache(RoomyBudget, 4);
   Cache.store(1, solutionWithCost(1, {1}));
   Cache.store(2, solutionWithCost(2, {2}));
   EXPECT_EQ(Cache.size(), 2u);
   Cache.clear();
   EXPECT_EQ(Cache.size(), 0u);
-  EXPECT_FALSE(Cache.lookup(1, {1}).has_value());
+  EXPECT_FALSE(Cache.lookup(1, {1}));
+}
+
+TEST(ShardedLruCache, ClearResetsTheByteCount) {
+  TestCacheInstruments I;
+  {
+    ShardedLruCache Cache(RoomyBudget, 4);
+    Cache.setInstruments(&I.Counts, {});
+    CachedSolution A = solutionWithCost(1, {1});
+    CachedSolution B = solutionWithCost(2, std::vector<std::uint8_t>(100, 2));
+    std::size_t Want =
+        ShardedLruCache::charge(A) + ShardedLruCache::charge(B);
+    Cache.store(1, A);
+    Cache.store(2, B);
+    Cache.store(2, B); // replacing an entry does not charge it twice
+    EXPECT_EQ(Cache.bytes(), Want);
+    EXPECT_EQ(I.Bytes.value(), static_cast<std::int64_t>(Want));
+    Cache.clear();
+    EXPECT_EQ(Cache.bytes(), 0u);
+    EXPECT_EQ(I.Bytes.value(), 0);
+    Cache.store(1, A);
+    EXPECT_EQ(Cache.bytes(), ShardedLruCache::charge(A));
+  }
+  // A destroyed cache takes its charge off the process-wide gauge.
+  EXPECT_EQ(I.Bytes.value(), 0);
+}
+
+// A hit shares the stored entry: no copy of the key bytes or the tree,
+// and the entry outlives its eviction for whoever still holds it.
+TEST(ShardedLruCache, HitsShareTheStoredEntry) {
+  ShardedLruCache Cache(2 * ShardedLruCache::charge(solutionWithCost(1, {1})),
+                        1);
+  Cache.store(1, solutionWithCost(1, {1}));
+  ShardedLruCache::Entry First = Cache.lookup(1, {1});
+  ShardedLruCache::Entry Second = Cache.lookup(1, {1});
+  ASSERT_TRUE(First);
+  EXPECT_EQ(First.get(), Second.get());
+  Cache.store(2, solutionWithCost(2, {2}));
+  Cache.store(3, solutionWithCost(3, {3})); // evicts 1
+  EXPECT_FALSE(Cache.lookup(1, {1}));
+  EXPECT_DOUBLE_EQ(First->Cost, 1.0);
+  EXPECT_EQ(First->Bytes, std::vector<std::uint8_t>{1});
 }
 
 //===----------------------------------------------------------------------===//

@@ -71,6 +71,18 @@ CachedSolution makeSolution(std::uint64_t Key) {
   return S;
 }
 
+/// Cache budget for \p Entries of the equal-charge `makeSolution` values.
+std::size_t solutionsBudget(std::size_t Entries) {
+  return Entries * ShardedLruCache::charge(makeSolution(0));
+}
+
+/// Test-local instruments for one cache.
+struct TestCacheInstruments {
+  obs::Counter Hits, Misses, Evictions, Oversized;
+  obs::Gauge Bytes;
+  obs::CacheInstruments Counts{Hits, Misses, Evictions, Oversized, Bytes};
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -122,48 +134,53 @@ TEST(StressThreadedBnb, BudgetCancellationUnderOversubscription) {
 // Many threads hammer a tiny cache with overlapping key ranges: every
 // operation mixes hits, misses, inserts and evictions across shards.
 TEST(StressResultCache, HitInsertEvictStorm) {
-  ShardedLruCache Cache(16, 4);
-  obs::Counter Hits, Misses, Evictions;
-  obs::CacheInstruments Counts{Hits, Misses, Evictions};
-  Cache.setInstruments(&Counts, {});
+  const std::size_t Budget = solutionsBudget(16);
+  ShardedLruCache Cache(Budget, 4);
+  TestCacheInstruments I;
+  Cache.setInstruments(&I.Counts, {});
   constexpr int NumThreads = 8;
   constexpr int OpsPerThread = 2000;
   std::atomic<std::uint64_t> ObservedHits{0};
+  std::atomic<std::uint64_t> OverBudget{0};
 
   std::vector<std::thread> Threads;
   Threads.reserve(NumThreads);
   for (int T = 0; T < NumThreads; ++T)
-    Threads.emplace_back([T, &Cache, &ObservedHits] {
+    Threads.emplace_back([T, Budget, &Cache, &ObservedHits, &OverBudget] {
       for (int Op = 0; Op < OpsPerThread; ++Op) {
         // 32 distinct keys over a 16-entry cache: ~half the working set
         // is always one eviction away.
         std::uint64_t Key =
             static_cast<std::uint64_t>((Op * 7 + T * 13) % 32);
         CachedSolution S = makeSolution(Key);
-        if (std::optional<CachedSolution> Hit = Cache.lookup(Key, S.Bytes)) {
+        if (ShardedLruCache::Entry Hit = Cache.lookup(Key, S.Bytes)) {
           ObservedHits.fetch_add(1, std::memory_order_relaxed);
           EXPECT_DOUBLE_EQ(static_cast<double>(Key), Hit->Cost);
         } else {
           Cache.store(Key, std::move(S));
         }
+        // The resident charge stays within the budget at every step.
+        if (Cache.bytes() > Budget)
+          OverBudget.fetch_add(1, std::memory_order_relaxed);
       }
     });
   for (std::thread &T : Threads)
     T.join();
 
-  EXPECT_EQ(ObservedHits.load(), Hits.value());
+  EXPECT_EQ(ObservedHits.load(), I.Hits.value());
   EXPECT_LE(Cache.size(), 16u);
-  EXPECT_GT(Evictions.value(), 0u);
+  EXPECT_GT(I.Evictions.value(), 0u);
+  EXPECT_EQ(OverBudget.load(), 0u);
+  EXPECT_EQ(I.Bytes.value(), static_cast<std::int64_t>(Cache.bytes()));
 }
 
 // Eviction racing lookups on the *same shard*: one shard, capacity two,
 // so nearly every store evicts what another thread is about to look up.
 // (Runs under both the ASan `service` label and the TSan `tsan` label.)
 TEST(StressResultCache, EvictionRacesLookupOnOneShard) {
-  ShardedLruCache Cache(2, 1);
-  obs::Counter Hits, Misses, Evictions;
-  obs::CacheInstruments Counts{Hits, Misses, Evictions};
-  Cache.setInstruments(&Counts, {});
+  ShardedLruCache Cache(solutionsBudget(2), 1);
+  TestCacheInstruments I;
+  Cache.setInstruments(&I.Counts, {});
   constexpr int NumThreads = 8;
   constexpr int OpsPerThread = 1500;
 
@@ -176,10 +193,9 @@ TEST(StressResultCache, EvictionRacesLookupOnOneShard) {
         CachedSolution S = makeSolution(Key);
         if (Op % 3 == 0) {
           Cache.store(Key, std::move(S));
-        } else if (std::optional<CachedSolution> Hit =
-                       Cache.lookup(Key, S.Bytes)) {
-          // The copy must stay intact even while other threads evict
-          // the entry it came from.
+        } else if (ShardedLruCache::Entry Hit = Cache.lookup(Key, S.Bytes)) {
+          // The entry must stay intact even while other threads evict
+          // it from the cache.
           EXPECT_EQ(2, Hit->Tree.numLeaves());
           EXPECT_DOUBLE_EQ(static_cast<double>(Key), Hit->Cost);
         }
@@ -189,14 +205,14 @@ TEST(StressResultCache, EvictionRacesLookupOnOneShard) {
     T.join();
 
   EXPECT_LE(Cache.size(), 2u);
-  EXPECT_EQ(Hits.value() + Misses.value(),
+  EXPECT_EQ(I.Hits.value() + I.Misses.value(),
             static_cast<std::uint64_t>(NumThreads) * OpsPerThread * 2 / 3);
 }
 
 // clear() and size() racing stores: the whole-cache sweeps take every
 // shard lock in sequence while writers are mid-flight.
 TEST(StressResultCache, ClearAndSizeDuringStores) {
-  ShardedLruCache Cache(32, 8);
+  ShardedLruCache Cache(solutionsBudget(32), 8);
   std::atomic<bool> Done{false};
 
   std::vector<std::thread> Writers;
@@ -276,7 +292,7 @@ TEST(StressService, InFlightDeadlineExpiry) {
   ServiceOptions Options;
   Options.NumWorkers = 4;
   Options.QueueCapacity = 64;
-  Options.CacheCapacity = 0; // every job must really solve
+  Options.CacheBytes = 0; // every job must really solve
   // A tiny budget-per-millisecond makes short deadlines bite mid-solve
   // instead of being absorbed by a fast exact solve.
   Options.NodesPerMilli = 50;
@@ -362,7 +378,13 @@ TEST(StressService, ShutdownWhileSubmitting) {
 TEST(StressService, ConcurrentCacheHitsAndSolves) {
   ServiceOptions Options;
   Options.NumWorkers = 4;
-  Options.CacheCapacity = 32;
+  // Room for about 32 whole-matrix entries of the n = 12 matrices below
+  // (block entries are smaller).
+  DistanceMatrix Sample = scaledToMax(plantedClusterMetric(12, 1), 100.0);
+  CachedSolution Whole;
+  Whole.Bytes = canonicalForm(Sample).Bytes;
+  Whole.Tree = buildCompactSetTree(Sample).Tree;
+  Options.CacheBytes = 32 * ShardedLruCache::charge(Whole);
   Options.CacheShards = 4;
   TreeService Service(Options);
   StatsSnapshot Before = Service.stats();
